@@ -11,11 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.stats import binom
 
 from .fock import DensityMatrix, FockCutoff, ProbeSpec, StateVector, _as_matrix, make_probe_state
 
-_THIN_CHUNK = 1024
+# Half width of the thinning band in column m: 14 sigma_m + 40 with
+# sigma_m^2 = m eta (1 - eta).  Bernstein's inequality for a sum of m
+# Bernoulli(eta) terms, P(|X - m eta| >= t) <= 2 exp(-t^2 / (2 sigma^2 + 2t/3)),
+# at t = 14 sigma + 40 has exponent at least 1600 / (80/3) = 60 (at sigma = 0,
+# growing toward 98), so the entries dropped from any column weigh less than
+# 2 exp(-60) < 1e-25 of that column.
+_BAND_SIGMAS = 14.0
+_BAND_PAD = 40.0
 
 
 @dataclass(frozen=True)
@@ -100,17 +108,30 @@ def loss_channel(rho: DensityMatrix | np.ndarray, loss: LossSpec) -> DensityMatr
 
 
 def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:
-    """Binomial-thinning linear map on a photon-count vector (need not be a pmf)."""
+    """Binomial-thinning linear map on a photon-count vector (need not be a pmf).
+
+    out[n] = sum_m binom.pmf(n, m, eta) vec[m].  A 2-D ``vec`` is thinned
+    column by column, so a stacked (P, dP) pair pays for one map.  Column m
+    keeps only the band |n - eta m| <= 14 sigma_m + 40, O(N sigma) pmf
+    evaluations in all; the dropped entries weigh < 1e-25 of each column.
+    """
     v = np.asarray(vec, dtype=float)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if eta == 1.0:
         return v.copy()
-    size = v.size
+    size = v.shape[0]
     m = np.arange(size)
-    out = np.empty(size, dtype=float)
-    for start in range(0, size, _THIN_CHUNK):
-        rows = np.arange(start, min(start + _THIN_CHUNK, size))
-        out[rows] = binom.pmf(rows[:, None], m[None, :], eta) @ v
-    return out
+    width = _BAND_SIGMAS * np.sqrt(m * (eta * (1.0 - eta))) + _BAND_PAD
+    lo = np.maximum(np.ceil(eta * m - width), 0).astype(np.int64)
+    hi = np.minimum(np.floor(eta * m + width), m).astype(np.int64)
+    counts = hi - lo + 1
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    cols = np.repeat(m, counts)
+    rows = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - lo, counts)
+    band = csc_matrix((binom.pmf(rows, cols, eta), rows, indptr), shape=(size, size))
+    return band @ v
 
 
 def binomial_loss_pmf(pmf: np.ndarray, loss: LossSpec) -> np.ndarray:

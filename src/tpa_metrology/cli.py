@@ -21,8 +21,7 @@ from .fock import ProbeSpec, make_probe_state
 from .metrology import (
     OBSERVABLES,
     amplitude_for_mean_n,
-    fisher_photon_counting,
-    fisher_quadrature,
+    fisher_from_state,
     sensitivity_analytic,
     sensitivity_numeric,
 )
@@ -43,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _mean_photon_number(text: str) -> float:
+    """argparse type for --nbar: a finite, nonnegative mean photon number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
 def _add_state_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--state", required=True, choices=STATE_FAMILIES)
     parser.add_argument("--observable", required=True, choices=OBSERVABLES)
@@ -52,7 +62,7 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta", type=float, default=1.0, help="single-photon transmission")
     parser.add_argument(
         "--nbar",
-        type=float,
+        type=_mean_photon_number,
         default=None,
         help="incident mean photon number (alternative to --r/--alpha)",
     )
@@ -105,10 +115,7 @@ def _cmd_sensitivity(args) -> int:
 def _cmd_fisher(args) -> int:
     spec, loss = _spec_from_args(args)
     state = make_probe_state(spec, tail_tol=args.tail_tol)
-    if args.observable == "photon_number":
-        fi = fisher_photon_counting(spec, loss, tail_tol=args.tail_tol)
-    else:
-        fi = fisher_quadrature(spec, loss, args.observable[-1], tail_tol=args.tail_tol)
+    fi = fisher_from_state(state, loss, args.observable)
     out = {
         "probe": {"r": spec.r, "phi_r": spec.phi_r, "alpha_abs": spec.alpha_abs, "phi": spec.phi},
         "eta": loss.eta,
@@ -137,6 +144,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_phase_scan(args) -> int:
+    if args.points < 2:
+        raise UsageError("--points must be at least 2")
     values = [i * math.pi / (args.points - 1) for i in range(args.points)]
     # strictly increasing guaranteed by construction
     config = SweepConfig(
@@ -207,7 +216,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("phase-scan", help="sensitivity/FI vs seed phase at fixed <n>")
-    p.add_argument("--nbar", type=float, required=True)
+    p.add_argument("--nbar", type=_mean_photon_number, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--observable", default="photon_number", choices=OBSERVABLES)
@@ -219,7 +228,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "squeeze-scan", help="photon-counting FI vs squeezing fraction at fixed <n>"
     )
-    p.add_argument("--nbar", type=float, required=True)
+    p.add_argument("--nbar", type=_mean_photon_number, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--phi", type=float, default=math.pi / 2)
     p.add_argument("--points", type=int, default=33)

@@ -146,8 +146,8 @@ def pmf_with_derivative(
 
 def pmf_pair_from_state(state: StateVector, loss: LossSpec) -> tuple[Pmf, np.ndarray]:
     p0 = state.populations()
-    dp0 = population_derivative(p0)
-    return Pmf(apply_binomial_loss(p0, loss.eta)), apply_binomial_loss(dp0, loss.eta)
+    p, dp = apply_binomial_loss(np.stack([p0, population_derivative(p0)], axis=1), loss.eta).T
+    return Pmf(p), dp
 
 
 def hermite_functions(x: np.ndarray, n_max: int) -> np.ndarray:

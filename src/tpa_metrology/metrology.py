@@ -26,7 +26,7 @@ from .distributions import (
     sv_pmf_closed_form,
 )
 from .exceptions import IllConditionedBinWarning
-from .fock import FockCutoff, ProbeSpec, make_probe_state
+from .fock import FockCutoff, ProbeSpec, StateVector, make_probe_state
 
 OBSERVABLES = ("photon_number", "quad_q", "quad_p")
 
@@ -234,6 +234,21 @@ def fisher_continuous(
     return FisherResult(float(np.trapezoid(terms, dx=pdf.dq)), observable, n_ill)
 
 
+def fisher_from_state(
+    state: StateVector,
+    loss: LossSpec,
+    observable: str,
+    grid: QuadGridSpec = QuadGridSpec(),
+) -> FisherResult:
+    """FI of an already-built probe state for one observable after loss."""
+    _check_observable(observable)
+    if observable == "photon_number":
+        pmf, dpmf = pmf_pair_from_state(state, loss)
+        return fisher_discrete(pmf, dpmf)
+    pdf, dpdf = quad_pdf_pair_from_state(state, loss, observable[-1], grid)
+    return fisher_continuous(pdf, dpdf, observable=observable)
+
+
 def fisher_photon_counting(
     spec: ProbeSpec,
     loss: LossSpec,
@@ -241,9 +256,7 @@ def fisher_photon_counting(
     **kwargs,
 ) -> FisherResult:
     """Photon-counting FI of a probe through TPA derivative and binomial loss."""
-    state = make_probe_state(spec, cutoff, **kwargs)
-    pmf, dpmf = pmf_pair_from_state(state, loss)
-    return fisher_discrete(pmf, dpmf)
+    return fisher_from_state(make_probe_state(spec, cutoff, **kwargs), loss, "photon_number")
 
 
 def fisher_quadrature(
@@ -256,8 +269,7 @@ def fisher_quadrature(
 ) -> FisherResult:
     """Quadrature FI of a probe from the detected density and its derivative."""
     state = make_probe_state(spec, cutoff, **kwargs)
-    pdf, dpdf = quad_pdf_pair_from_state(state, loss, which, grid)
-    return fisher_continuous(pdf, dpdf, observable=f"quad_{which}")
+    return fisher_from_state(state, loss, f"quad_{which}", grid)
 
 
 def fisher_ratio_coh_over_sv(nbar: float, loss: LossSpec, tail_tol: float = 1e-12) -> float:
@@ -271,14 +283,11 @@ def fisher_ratio_coh_over_sv(nbar: float, loss: LossSpec, tail_tol: float = 1e-1
     n_max = max(
         pmf_auto_cutoff("sv", nbar, tail_tol), pmf_auto_cutoff("coherent", nbar, tail_tol)
     )
-    eta = loss.eta
     fis = {}
     for kind, builder in (("coherent", coherent_pmf), ("sv", sv_pmf_closed_form)):
         p0 = builder(nbar, n_max).p
-        dp0 = population_derivative(p0)
-        fis[kind] = fisher_discrete(
-            apply_binomial_loss(p0, eta), apply_binomial_loss(dp0, eta)
-        ).fi
+        p, dp = apply_binomial_loss(np.stack([p0, population_derivative(p0)], axis=1), loss.eta).T
+        fis[kind] = fisher_discrete(p, dp).fi
     return fis["coherent"] / fis["sv"]
 
 

@@ -20,13 +20,11 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .channels import LossSpec
-from .distributions import pmf_pair_from_state, quad_pdf_pair_from_state
 from .fock import ProbeSpec, make_probe_state
 from .metrology import (
     OBSERVABLES,
     amplitude_for_mean_n,
-    fisher_continuous,
-    fisher_discrete,
+    fisher_from_state,
     sensitivity_analytic,
 )
 
@@ -118,12 +116,7 @@ def _sweep_point(config: SweepConfig, value: float) -> dict[str, str]:
     guess = max(int(math.ceil(4.0 * spec.mean_photon_number())) + 50, 64)
     if state.n_max > 2 * guess:
         notes.append(f"cutoff grew to {state.n_max}")
-    if config.observable == "photon_number":
-        pmf, dpmf = pmf_pair_from_state(state, loss)
-        fi = fisher_discrete(pmf, dpmf)
-    else:
-        pdf, dpdf = quad_pdf_pair_from_state(state, loss, config.observable[-1])
-        fi = fisher_continuous(pdf, dpdf, observable=config.observable)
+    fi = fisher_from_state(state, loss, config.observable)
     if fi.ill_bins:
         notes.append(f"{fi.ill_bins} ill-conditioned bins")
     sens = sensitivity_analytic(spec, loss, config.observable)

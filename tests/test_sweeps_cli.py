@@ -243,6 +243,37 @@ class TestCli:
         assert main(["sweep"]) == 1
         assert main(["sensitivity", "--state", "laserbeam", "--observable", "photon_number"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["phase-scan", "--nbar", "4", "--r", "0.5", "--points", "1"], "--points"),
+            (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "inf"], "--nbar"),
+            (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "-1"], "--nbar"),
+        ],
+    )
+    def test_bad_input_names_the_flag(self, argv, flag, capsys):
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("observable", ["photon_number", "quad_q"])
+    def test_fisher_builds_the_probe_once(self, observable, monkeypatch, capsys):
+        from tpa_metrology import fock
+
+        original = fock.make_probe_state
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(original(*args, **kwargs))
+            return calls[-1]
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tpa_metrology") and getattr(module, "make_probe_state", None) is original:
+                monkeypatch.setattr(module, "make_probe_state", counting)
+        argv = ["fisher", "--state", "sv", "--observable", observable, "--nbar", "2", "--eta", "0.5"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["cutoff_used"] == calls[0].n_max
+
     def test_empty_axis_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[sweep]\naxis = nbar\nvalues =\n")
