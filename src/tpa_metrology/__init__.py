@@ -8,10 +8,8 @@ quantities are evaluated at zero absorbance via exact first-order perturbation.
 
 from .channels import (
     LossSpec,
-    PerturbedState,
     binomial_loss_pmf,
     loss_channel,
-    perturb_state,
     population_derivative,
     tpa_generator,
 )
@@ -20,8 +18,6 @@ from .distributions import (
     QuadGridSpec,
     QuadPdf,
     coherent_pmf,
-    pmf_with_derivative,
-    quad_pdf_with_derivative,
     sv_pmf_closed_form,
 )
 from .exceptions import (

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.stats import binom
 
-from .fock import DensityMatrix, FockCutoff, ProbeSpec, StateVector, _as_matrix, make_probe_state
+from .fock import DensityMatrix, _as_matrix
 
 # Half width of the thinning band in column m: 14 sigma_m + 40 with
 # sigma_m^2 = m eta (1 - eta).  Bernstein's inequality for a sum of m
@@ -35,26 +35,6 @@ class LossSpec:
     def __post_init__(self):
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.eta == 1.0
-
-
-@dataclass
-class PerturbedState:
-    """State at zero absorbance plus its exact first-order TPA derivative."""
-
-    rho0: DensityMatrix
-    drho: np.ndarray
-
-    def validate(self, tol: float = 1e-12) -> None:
-        tr = abs(np.trace(self.drho))
-        if tr > tol:
-            raise ValueError(f"d rho / d eps not traceless: |trace| = {tr:.3e}")
-        herm = np.max(np.abs(self.drho - self.drho.conj().T))
-        if herm > tol:
-            raise ValueError(f"d rho / d eps not Hermitian: max deviation {herm:.3e}")
 
 
 def tpa_generator(rho: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -146,15 +126,3 @@ def binomial_loss_pmf(pmf: np.ndarray, loss: LossSpec) -> np.ndarray:
         raise ValueError(f"input pmf sums to {total!r}, expected ~1")
     return apply_binomial_loss(p, loss.eta)
 
-
-def perturb_state(spec: ProbeSpec, cutoff: FockCutoff | None = None, **kwargs) -> PerturbedState:
-    """Probe state as rho0 = |psi><psi| together with d rho / d eps at eps = 0."""
-    psi = make_probe_state(spec, cutoff, **kwargs)
-    rho0 = psi.to_density_matrix()
-    return PerturbedState(rho0=rho0, drho=tpa_generator(rho0))
-
-
-def perturbed_from_state(state: StateVector) -> PerturbedState:
-    """PerturbedState for an already-constructed pure probe state."""
-    rho0 = state.to_density_matrix()
-    return PerturbedState(rho0=rho0, drho=tpa_generator(rho0))

@@ -18,14 +18,15 @@ from . import __version__
 from .channels import LossSpec
 from .exceptions import GridError, TruncationError
 from .fock import ProbeSpec, make_probe_state
-from .metrology import (
-    OBSERVABLES,
-    amplitude_for_mean_n,
-    fisher_from_state,
-    sensitivity_analytic,
-    sensitivity_numeric,
+from .metrology import OBSERVABLES, fisher_from_state, sensitivity_analytic, sensitivity_numeric
+from .sweeps import (
+    STATE_FAMILIES,
+    SweepConfig,
+    check_input,
+    load_sweep_config,
+    resolve_point,
+    run_sweep,
 )
-from .sweeps import STATE_FAMILIES, SweepConfig, load_sweep_config, run_sweep
 from .validate import report_dict, run_validate
 
 EXIT_OK = 0
@@ -42,57 +43,44 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _mean_photon_number(text: str) -> float:
-    """argparse type for --nbar: a finite, nonnegative mean photon number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
-    return value
+def _checked(key: str):
+    """argparse type for a numeric flag: what sweeps.check_input admits for ``key``."""
+
+    def parse(text: str) -> float:
+        try:
+            return check_input(key, text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return parse
 
 
 def _add_state_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--state", required=True, choices=STATE_FAMILIES)
     parser.add_argument("--observable", required=True, choices=OBSERVABLES)
-    parser.add_argument("--r", type=float, default=0.0, help="squeezing magnitude")
-    parser.add_argument("--alpha", type=float, default=None, help="coherent amplitude |alpha|")
-    parser.add_argument("--phi", type=float, default=0.0, help="coherent phase in radians")
-    parser.add_argument("--eta", type=float, default=1.0, help="single-photon transmission")
+    parser.add_argument("--r", type=_checked("r"), help="squeezing magnitude")
+    parser.add_argument("--alpha", type=_checked("alpha"), help="coherent amplitude |alpha|")
+    parser.add_argument(
+        "--phi", type=_checked("phi"), default=0.0, help="coherent phase in radians"
+    )
+    parser.add_argument(
+        "--eta", type=_checked("eta"), default=1.0, help="single-photon transmission"
+    )
     parser.add_argument(
         "--nbar",
-        type=_mean_photon_number,
-        default=None,
-        help="incident mean photon number (alternative to --r/--alpha)",
+        type=_checked("nbar"),
+        help="incident mean photon number (instead of --r for sv, --alpha otherwise)",
     )
-    parser.add_argument("--tail-tol", type=float, default=1e-10)
+    parser.add_argument("--tail-tol", type=_checked("tail_tol"), default=1e-10)
 
 
-def _spec_from_args(args) -> tuple[ProbeSpec, LossSpec]:
-    if args.state == "sv":
-        r = math.asinh(math.sqrt(args.nbar)) if args.nbar is not None else args.r
-        spec = ProbeSpec.squeezed_vacuum(r)
-    elif args.state == "coherent":
-        alpha = (
-            math.sqrt(args.nbar)
-            if args.nbar is not None
-            else (args.alpha if args.alpha is not None else 0.0)
-        )
-        spec = ProbeSpec.coherent(alpha, args.phi)
-    else:
-        if args.alpha is not None:
-            alpha = args.alpha
-        elif args.nbar is not None:
-            alpha = amplitude_for_mean_n(args.nbar, math.sinh(args.r) ** 2, args.phi)
-        else:
-            raise UsageError("squeezed_coherent needs --alpha or --nbar")
-        spec = ProbeSpec(r=args.r, alpha_abs=alpha, phi=args.phi)
-    return spec, LossSpec(args.eta)
+def _probe_from_args(args) -> tuple[ProbeSpec, LossSpec]:
+    given = {key: getattr(args, key) for key in ("nbar", "r", "alpha", "phi", "eta")}
+    return resolve_point(args.state, {k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_sensitivity(args) -> int:
-    spec, loss = _spec_from_args(args)
+    spec, loss = _probe_from_args(args)
 
     def render(res):
         if res.diverges:
@@ -113,7 +101,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_fisher(args) -> int:
-    spec, loss = _spec_from_args(args)
+    spec, loss = _probe_from_args(args)
     state = make_probe_state(spec, tail_tol=args.tail_tol)
     fi = fisher_from_state(state, loss, args.observable)
     out = {
@@ -138,7 +126,7 @@ def _cmd_sweep(args) -> int:
             raise UsageError(f"--set expects key=value, got {item!r}")
         overrides[key.strip()] = value.strip()
     config = load_sweep_config(args.config, overrides, output=args.output)
-    path = run_sweep(config, parallel=args.parallel)
+    path = run_sweep(config)
     print(path)
     return EXIT_OK
 
@@ -212,32 +200,33 @@ def build_parser() -> _Parser:
     p.add_argument("config")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override config entries")
     p.add_argument("--output", default=None)
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("phase-scan", help="sensitivity/FI vs seed phase at fixed <n>")
-    p.add_argument("--nbar", type=_mean_photon_number, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--nbar", type=_checked("nbar"), required=True)
+    p.add_argument("--r", type=_checked("r"), required=True)
+    p.add_argument("--eta", type=_checked("eta"), default=1.0)
     p.add_argument("--observable", default="photon_number", choices=OBSERVABLES)
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--output", default="phase_scan.csv")
-    p.add_argument("--tail-tol", type=float, default=1e-10)
+    p.add_argument("--tail-tol", type=_checked("tail_tol"), default=1e-10)
     p.set_defaults(func=_cmd_phase_scan)
 
     p = sub.add_parser(
         "squeeze-scan", help="photon-counting FI vs squeezing fraction at fixed <n>"
     )
-    p.add_argument("--nbar", type=_mean_photon_number, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--phi", type=float, default=math.pi / 2)
+    p.add_argument("--nbar", type=_checked("nbar"), required=True)
+    p.add_argument("--eta", type=_checked("eta"), required=True)
+    p.add_argument("--phi", type=_checked("phi"), default=math.pi / 2)
     p.add_argument("--points", type=int, default=33)
     p.add_argument("--output", default="squeeze_scan.csv")
-    p.add_argument("--tail-tol", type=float, default=1e-8)
+    p.add_argument("--tail-tol", type=_checked("tail_tol"), default=1e-8)
     p.set_defaults(func=_cmd_squeeze_scan)
 
     p = sub.add_parser("validate", help="run the numerical property suite")
-    p.add_argument("--eta", type=float, default=None, help="restrict loss checks to one eta")
+    p.add_argument(
+        "--eta", type=_checked("eta"), default=None, help="restrict loss checks to one eta"
+    )
     p.add_argument("--checks", default=None, help="comma-separated subset of check names")
     p.add_argument("--json", default=None, help="write the JSON report to a file")
     p.set_defaults(func=_cmd_validate)

@@ -19,7 +19,9 @@ from scipy.stats import poisson
 
 from .channels import LossSpec, apply_binomial_loss, population_derivative
 from .exceptions import GridError
-from .fock import FockCutoff, ProbeSpec, StateVector, make_probe_state, moments
+# make_probe_state is not called here; it stays importable from this module
+# because the benchmark's tracer self-test (bench/selftest.py) reads it.
+from .fock import StateVector, make_probe_state, moments  # noqa: F401
 
 _PI_QUARTER = math.pi ** (-0.25)
 _NEG_CLIP = -1e-12
@@ -129,21 +131,6 @@ def pmf_auto_cutoff(kind: str, nbar: float, tail_tol: float = 1e-12, n_start: in
         n_max *= 2
 
 
-def pmf_with_derivative(
-    spec: ProbeSpec,
-    loss: LossSpec,
-    cutoff: FockCutoff | None = None,
-    **kwargs,
-) -> tuple[Pmf, np.ndarray]:
-    """Detected photon-number pmf and its exact absorbance derivative.
-
-    Number measurement and both channels see only populations, so diagonal
-    processing is exact: thin(populations) and thin(population_derivative).
-    """
-    state = make_probe_state(spec, cutoff, **kwargs)
-    return pmf_pair_from_state(state, loss)
-
-
 def pmf_pair_from_state(state: StateVector, loss: LossSpec) -> tuple[Pmf, np.ndarray]:
     p0 = state.populations()
     p, dp = apply_binomial_loss(np.stack([p0, population_derivative(p0)], axis=1), loss.eta).T
@@ -202,13 +189,11 @@ def _clip_roundoff_negative(density: np.ndarray) -> np.ndarray:
     return np.where((density < 0.0) & (density > _NEG_CLIP), 0.0, density)
 
 
-def quad_pdf_with_derivative(
-    spec: ProbeSpec,
+def quad_pdf_pair_from_state(
+    state: StateVector,
     loss: LossSpec,
     which: str,
     grid: QuadGridSpec = QuadGridSpec(),
-    cutoff: FockCutoff | None = None,
-    **kwargs,
 ) -> tuple[QuadPdf, QuadPdf]:
     """Detected quadrature density P(x) and its absorbance derivative dP(x)/d eps.
 
@@ -221,16 +206,6 @@ def quad_pdf_with_derivative(
     1e-6; hard-truncated states leave artifacts of that order in the
     derivative density near the truncation turning radius.
     """
-    state = make_probe_state(spec, cutoff, **kwargs)
-    return quad_pdf_pair_from_state(state, loss, which, grid)
-
-
-def quad_pdf_pair_from_state(
-    state: StateVector,
-    loss: LossSpec,
-    which: str,
-    grid: QuadGridSpec = QuadGridSpec(),
-) -> tuple[QuadPdf, QuadPdf]:
     if which not in ("q", "p"):
         raise ValueError(f"which must be 'q' or 'p', got {which!r}")
     eta = loss.eta

@@ -175,19 +175,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.rho).real)
 
-    def validate(self, tail_tol: float = DEFAULT_TAIL_TOL, check_positivity: bool = False) -> None:
-        """Check hermiticity, trace and (optionally, O(dim^3)) positivity."""
-        herm = np.max(np.abs(self.rho - self.rho.conj().T))
-        if herm > 1e-12:
-            raise ValueError(f"density matrix not Hermitian: max deviation {herm:.3e}")
-        tr = self.trace()
-        if not (1.0 - tail_tol <= tr <= 1.0 + 1e-12):
-            raise ValueError(f"trace {tr!r} outside [1 - tail_tol, 1]")
-        if check_positivity:
-            evals = np.linalg.eigvalsh(self.rho)
-            if evals.min() < -1e-10:
-                raise ValueError(f"negative eigenvalue {evals.min():.3e}")
-
 
 def _as_matrix(state) -> np.ndarray:
     if isinstance(state, DensityMatrix):
@@ -272,6 +259,11 @@ def _build_probe(spec: ProbeSpec, n_max: int) -> np.ndarray:
     return out
 
 
+def initial_cutoff(nbar: float) -> int:
+    """First n_max tried for a probe of incident mean photon number nbar."""
+    return max(int(math.ceil(4.0 * nbar)) + 50, 64)
+
+
 def tail_estimate(populations: np.ndarray) -> float:
     """Conservative estimate of the population truncated beyond the cutoff.
 
@@ -323,8 +315,7 @@ def make_probe_state(
         return StateVector(amp)
 
     cap = cutoff_cap(max_n)
-    nbar = spec.mean_photon_number()
-    n_max = min(max(int(math.ceil(4.0 * nbar)) + 50, 64), cap)
+    n_max = min(initial_cutoff(spec.mean_photon_number()), cap)
     first_guess = n_max
     while True:
         amp = _build_probe(spec, n_max)

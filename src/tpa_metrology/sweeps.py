@@ -3,8 +3,7 @@
 A sweep is described by a small config (file or object): state family,
 observable, sweep axis and values, fixed parameters.  Each output row holds
 the numeric Fisher information, the inverse analytic sensitivity, the cutoff
-used and any warnings; rows are ordered by axis index regardless of whether
-points were computed serially or in parallel.
+used and any warnings; rows are in axis order.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import configparser
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .channels import LossSpec
-from .fock import ProbeSpec, make_probe_state
+from .fock import ProbeSpec, initial_cutoff, make_probe_state
 from .metrology import (
     OBSERVABLES,
     amplitude_for_mean_n,
@@ -38,6 +36,18 @@ CSV_COLUMNS = (
     "cutoff_used",
     "warnings",
 )
+# (test, description) of the finite values each numeric input from outside the
+# program may take, by config key; the CLI flag of the same name shares it.
+_NONNEGATIVE = (lambda x: x >= 0.0, "a finite number >= 0")
+_INPUT_RULES = {
+    "nbar": _NONNEGATIVE,
+    "r": _NONNEGATIVE,
+    "n_r": _NONNEGATIVE,
+    "alpha": _NONNEGATIVE,
+    "phi": (lambda x: True, "a finite number"),
+    "eta": (lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
+    "tail_tol": (lambda x: x > 0.0, "a finite number > 0"),
+}
 
 
 @dataclass
@@ -64,44 +74,58 @@ class SweepConfig:
             raise ValueError("axis_values must be strictly increasing")
         if self.sweep_axis in self.fixed_params:
             raise ValueError(f"fixed_params must not include the sweep axis {self.sweep_axis!r}")
+        self.tail_tol = check_input("tail_tol", self.tail_tol)
 
 
-def resolve_point(
-    family: str, axis: str, value: float, fixed: dict[str, float]
-) -> tuple[ProbeSpec, LossSpec]:
-    """Probe and loss for one sweep point; nbar-style axes hold the incident <n>."""
-    params = dict(fixed)
-    params[axis] = value
-    eta = float(params.pop("eta", 1.0))
-    phi = float(params.pop("phi", 0.0))
+def check_input(key: str, value: float | str) -> float:
+    """An outside numeric input (CLI flag or config key) as a float.
 
-    def pick_r() -> float:
-        if "r" in params:
-            return float(params["r"])
-        if "n_r" in params:
-            return math.asinh(math.sqrt(float(params["n_r"])))
-        raise ValueError("squeezed family needs 'r' or 'n_r'")
+    Raises ValueError naming ``key`` unless the value is finite and in the
+    range ``_INPUT_RULES`` admits for that key.
+    """
+    admits, what = _INPUT_RULES[key]
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and admits(x)):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return x
+
+
+def resolve_point(family: str, params: dict[str, float]) -> tuple[ProbeSpec, LossSpec]:
+    """Probe and loss from named inputs; nbar is the incident <n>.
+
+    Each amplitude is given exactly one way, or ValueError names the keys:
+    sv takes one of nbar, r, n_r; coherent one of nbar, alpha; and
+    squeezed_coherent one of r, n_r and one of alpha, nbar (|alpha| is then
+    set so that the incident <n> is nbar).  phi (default 0) is the seed
+    phase and eta (default 1) the transmission; every value read is checked.
+    """
+    eta = check_input("eta", params.get("eta", 1.0))
+    phi = check_input("phi", params.get("phi", 0.0))
+
+    def one_of(*keys: str) -> tuple[str, float]:
+        given = [k for k in keys if k in params]
+        if len(given) != 1:
+            raise ValueError(
+                f"{family} probe needs exactly one of {', '.join(keys)}; "
+                f"got {', '.join(given) if given else 'none'}"
+            )
+        return given[0], check_input(given[0], params[given[0]])
+
+    def squeezing(key: str, value: float) -> float:
+        return value if key == "r" else math.asinh(math.sqrt(value))
 
     if family == "sv":
-        r = pick_r() if ("r" in params or "n_r" in params) else math.asinh(
-            math.sqrt(float(params["nbar"]))
-        )
-        return ProbeSpec.squeezed_vacuum(r), LossSpec(eta)
+        return ProbeSpec.squeezed_vacuum(squeezing(*one_of("nbar", "r", "n_r"))), LossSpec(eta)
     if family == "coherent":
-        alpha = (
-            float(params["alpha"])
-            if "alpha" in params
-            else math.sqrt(float(params["nbar"]))
-        )
+        key, value = one_of("nbar", "alpha")
+        alpha = value if key == "alpha" else math.sqrt(value)
         return ProbeSpec.coherent(alpha, phi), LossSpec(eta)
-    # squeezed_coherent: amplitude either given or adjusted to hold <n> fixed
-    r = pick_r()
-    if "alpha" in params:
-        alpha = float(params["alpha"])
-    elif "nbar" in params:
-        alpha = amplitude_for_mean_n(float(params["nbar"]), math.sinh(r) ** 2, phi)
-    else:
-        raise ValueError("squeezed_coherent needs 'alpha' or 'nbar'")
+    r = squeezing(*one_of("r", "n_r"))
+    key, value = one_of("alpha", "nbar")
+    alpha = value if key == "alpha" else amplitude_for_mean_n(value, math.sinh(r) ** 2, phi)
     return ProbeSpec(r=r, alpha_abs=alpha, phi=phi), LossSpec(eta)
 
 
@@ -110,11 +134,11 @@ def _fmt(x: float) -> str:
 
 
 def _sweep_point(config: SweepConfig, value: float) -> dict[str, str]:
-    spec, loss = resolve_point(config.state_family, config.sweep_axis, value, config.fixed_params)
+    params = {**config.fixed_params, config.sweep_axis: value}
+    spec, loss = resolve_point(config.state_family, params)
     notes: list[str] = []
     state = make_probe_state(spec, tail_tol=config.tail_tol)
-    guess = max(int(math.ceil(4.0 * spec.mean_photon_number())) + 50, 64)
-    if state.n_max > 2 * guess:
+    if state.n_max > 2 * initial_cutoff(spec.mean_photon_number()):
         notes.append(f"cutoff grew to {state.n_max}")
     fi = fisher_from_state(state, loss, config.observable)
     if fi.ill_bins:
@@ -131,13 +155,9 @@ def _sweep_point(config: SweepConfig, value: float) -> dict[str, str]:
     }
 
 
-def run_sweep(config: SweepConfig, parallel: bool = False) -> Path:
+def run_sweep(config: SweepConfig) -> Path:
     """Execute the sweep and write the CSV; returns the output path."""
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(lambda v: _sweep_point(config, v), config.axis_values))
-    else:
-        rows = [_sweep_point(config, v) for v in config.axis_values]
+    rows = [_sweep_point(config, v) for v in config.axis_values]
 
     out = Path(config.output_path)
     fixed = " ".join(f"{k}={_fmt(float(v))}" for k, v in sorted(config.fixed_params.items()))
@@ -202,5 +222,5 @@ def load_sweep_config(
         axis_values=values,
         fixed_params=fixed,
         output_path=output or sweep.get("output", "sweep.csv"),
-        tail_tol=float(sweep.get("tail_tol", 1e-10)),
+        tail_tol=sweep.get("tail_tol", 1e-10),
     )

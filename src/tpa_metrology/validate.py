@@ -437,14 +437,12 @@ def check_sweep_determinism(ctx: _Ctx) -> str:
             axis_values=(0.5, 1.0, 2.0),
             fixed_params={"eta": 0.8},
         )
-        paths = [Path(tmp) / f"out{i}.csv" for i in range(3)]
-        run_sweep(SweepConfig(**cfg, output_path=str(paths[0])))
-        run_sweep(SweepConfig(**cfg, output_path=str(paths[1])))
-        run_sweep(SweepConfig(**cfg, output_path=str(paths[2])), parallel=True)
-        a, b, c = (p.read_bytes() for p in paths)
+        paths = [Path(tmp) / f"out{i}.csv" for i in range(2)]
+        for path in paths:
+            run_sweep(SweepConfig(**cfg, output_path=str(path)))
+        a, b = (p.read_bytes() for p in paths)
         assert a == b, "identical configs produced different CSV bytes"
-        assert a == c, "parallel and serial sweeps differ"
-    return "serial rerun and parallel run byte-identical"
+    return "rerun byte-identical"
 
 
 CHECKS: dict[str, Callable[[_Ctx], str]] = {

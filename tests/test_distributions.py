@@ -9,10 +9,9 @@ from tpa_metrology.distributions import (
     QuadGridSpec,
     coherent_pmf,
     hermite_functions,
-    pmf_with_derivative,
+    pmf_pair_from_state,
     quad_pdf_from_density,
     quad_pdf_pair_from_state,
-    quad_pdf_with_derivative,
     sv_pmf_closed_form,
 )
 from tpa_metrology.exceptions import GridError
@@ -60,29 +59,34 @@ class TestCoherentPmf:
 
 class TestPmfWithDerivative:
     def test_vacuum_derivative_zero(self):
-        _, dpmf = pmf_with_derivative(ProbeSpec.vacuum(), LossSpec(0.7))
+        state = make_probe_state(ProbeSpec.vacuum())
+        _, dpmf = pmf_pair_from_state(state, LossSpec(0.7))
         assert np.allclose(dpmf, 0.0)
 
     def test_coherent_intensity_slope(self):
         # sum_n n dP_n = -eta |alpha|^4 with |alpha|^2 = 4, eta = 1
-        pmf, dpmf = pmf_with_derivative(ProbeSpec.coherent(2.0), LossSpec(1.0))
+        state = make_probe_state(ProbeSpec.coherent(2.0))
+        pmf, dpmf = pmf_pair_from_state(state, LossSpec(1.0))
         slope = float(np.dot(np.arange(pmf.p.size), dpmf))
         assert slope == pytest.approx(-16.0, rel=1e-9)
 
     def test_sv_eta_linearity(self):
         # r = 1 probe; slope is eta-linear: -eta n_r (1 + 3 n_r) = -0.5 * 7.1034
         n_r = math.sinh(1.0) ** 2
-        pmf, dpmf = pmf_with_derivative(ProbeSpec.squeezed_vacuum(1.0), LossSpec(0.5))
+        state = make_probe_state(ProbeSpec.squeezed_vacuum(1.0))
+        pmf, dpmf = pmf_pair_from_state(state, LossSpec(0.5))
         slope = float(np.dot(np.arange(pmf.p.size), dpmf))
         assert slope == pytest.approx(-0.5 * n_r * (1 + 3 * n_r), rel=1e-9)
         assert slope == pytest.approx(-3.5517, rel=1e-4)
 
     def test_derivative_sums_to_zero(self):
-        _, dpmf = pmf_with_derivative(ProbeSpec(r=0.8, alpha_abs=1.5, phi=0.3), LossSpec(0.4))
+        state = make_probe_state(ProbeSpec(r=0.8, alpha_abs=1.5, phi=0.3))
+        _, dpmf = pmf_pair_from_state(state, LossSpec(0.4))
         assert abs(dpmf.sum()) < 1e-12
 
     def test_pmf_normalized(self):
-        pmf, _ = pmf_with_derivative(ProbeSpec(r=0.5, alpha_abs=1.0, phi=0.1), LossSpec(0.25))
+        state = make_probe_state(ProbeSpec(r=0.5, alpha_abs=1.0, phi=0.1))
+        pmf, _ = pmf_pair_from_state(state, LossSpec(0.25))
         assert pmf.total() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -126,7 +130,8 @@ class TestHermiteFunctions:
 
 class TestQuadPdf:
     def test_vacuum_density(self):
-        pdf, dpdf = quad_pdf_with_derivative(ProbeSpec.vacuum(), LossSpec(1.0), "q")
+        state = make_probe_state(ProbeSpec.vacuum())
+        pdf, dpdf = quad_pdf_pair_from_state(state, LossSpec(1.0), "q")
         mid = np.argmin(np.abs(pdf.grid))
         assert pdf.density[mid] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-9)
         assert np.allclose(dpdf.density, 0.0)
@@ -134,31 +139,34 @@ class TestQuadPdf:
     def test_squeezed_vacuum_p_variance(self):
         # Gaussian moment oracle: var_p = e^{-2r}/2 at eta = 1
         r = 1.0
-        pdf, _ = quad_pdf_with_derivative(ProbeSpec.squeezed_vacuum(r), LossSpec(1.0), "p")
+        state = make_probe_state(ProbeSpec.squeezed_vacuum(r))
+        pdf, _ = quad_pdf_pair_from_state(state, LossSpec(1.0), "p")
         assert pdf.var() == pytest.approx(math.exp(-2.0 * r) / 2.0, rel=1e-8)
 
     def test_squeezed_vacuum_lossy_q_variance(self):
         # variance mixing rule: 0.5 e^2/2 + 0.25
-        pdf, _ = quad_pdf_with_derivative(ProbeSpec.squeezed_vacuum(1.0), LossSpec(0.5), "q")
+        state = make_probe_state(ProbeSpec.squeezed_vacuum(1.0))
+        pdf, _ = quad_pdf_pair_from_state(state, LossSpec(0.5), "q")
         assert pdf.var() == pytest.approx(0.5 * math.exp(2.0) / 2.0 + 0.25, rel=1e-7)
         assert pdf.var() == pytest.approx(2.09727, rel=1e-4)
 
     def test_density_normalized_and_derivative_traceless(self):
-        pdf, dpdf = quad_pdf_with_derivative(
-            ProbeSpec(r=0.8, alpha_abs=1.2, phi=0.7), LossSpec(0.6), "q"
-        )
+        state = make_probe_state(ProbeSpec(r=0.8, alpha_abs=1.2, phi=0.7))
+        pdf, dpdf = quad_pdf_pair_from_state(state, LossSpec(0.6), "q")
         assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
         assert abs(dpdf.integral()) < 1e-6
 
     def test_coherent_mean_after_loss(self):
         alpha, eta = 1.5, 0.4
-        pdf, _ = quad_pdf_with_derivative(ProbeSpec.coherent(alpha), LossSpec(eta), "q")
+        state = make_probe_state(ProbeSpec.coherent(alpha))
+        pdf, _ = quad_pdf_pair_from_state(state, LossSpec(eta), "q")
         assert pdf.mean() == pytest.approx(math.sqrt(2 * eta) * alpha, rel=1e-8)
 
     def test_grid_too_narrow_raises(self):
+        state = make_probe_state(ProbeSpec.coherent(2.0))
         with pytest.raises(GridError):
-            quad_pdf_with_derivative(
-                ProbeSpec.coherent(2.0),
+            quad_pdf_pair_from_state(
+                state,
                 LossSpec(1.0),
                 "q",
                 QuadGridSpec(n_points=501, half_width=2.0),
@@ -202,7 +210,8 @@ class TestQuadPdf:
     def test_p_density_distinguishes_phase(self):
         # coherent state along p: its p-density is displaced, q-density centered
         spec = ProbeSpec(alpha_abs=1.5, phi=math.pi / 2)
-        pdf_p, _ = quad_pdf_with_derivative(spec, LossSpec(1.0), "p")
-        pdf_q, _ = quad_pdf_with_derivative(spec, LossSpec(1.0), "q")
+        state = make_probe_state(spec)
+        pdf_p, _ = quad_pdf_pair_from_state(state, LossSpec(1.0), "p")
+        pdf_q, _ = quad_pdf_pair_from_state(state, LossSpec(1.0), "q")
         assert pdf_p.mean() == pytest.approx(1.5 * math.sqrt(2.0), rel=1e-8)
         assert abs(pdf_q.mean()) < 1e-9

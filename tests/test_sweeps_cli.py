@@ -53,24 +53,40 @@ class TestSweepConfig:
 
 class TestResolvePoint:
     def test_sv_nbar_axis(self):
-        spec, loss = resolve_point("sv", "nbar", 4.0, {"eta": 0.7})
+        spec, loss = resolve_point("sv", {"nbar": 4.0, "eta": 0.7})
         assert spec.mean_photon_number() == pytest.approx(4.0)
         assert loss.eta == 0.7
 
     def test_coherent_alpha_fixed(self):
-        spec, _ = resolve_point("coherent", "eta", 0.5, {"alpha": 2.0})
+        spec, _ = resolve_point("coherent", {"eta": 0.5, "alpha": 2.0})
         assert spec.alpha_abs == 2.0
         assert spec.r == 0.0
 
     def test_squeezed_coherent_holds_nbar(self):
         spec, _ = resolve_point(
-            "squeezed_coherent", "n_r", 2.0, {"nbar": 10.0, "phi": math.pi / 2, "eta": 1.0}
+            "squeezed_coherent", {"n_r": 2.0, "nbar": 10.0, "phi": math.pi / 2, "eta": 1.0}
         )
         assert spec.mean_photon_number() == pytest.approx(10.0, rel=1e-12)
 
     def test_squeezed_coherent_needs_amplitude_info(self):
         with pytest.raises(ValueError):
-            resolve_point("squeezed_coherent", "eta", 0.5, {"r": 1.0})
+            resolve_point("squeezed_coherent", {"eta": 0.5, "r": 1.0})
+
+    @pytest.mark.parametrize(
+        "family, params, named",
+        [
+            ("sv", {"nbar": 4.0, "r": 0.1}, "got nbar, r"),
+            ("sv", {"nbar": 4.0, "n_r": 1.0}, "got nbar, n_r"),
+            ("sv", {"eta": 0.5}, "one of nbar, r, n_r; got none"),
+            ("coherent", {"nbar": 4.0, "alpha": 2.0}, "got nbar, alpha"),
+            ("coherent", {"eta": 0.5}, "one of nbar, alpha; got none"),
+            ("squeezed_coherent", {"r": 0.5, "n_r": 1.0, "nbar": 4.0}, "got r, n_r"),
+            ("squeezed_coherent", {"r": 0.5, "alpha": 1.0, "nbar": 4.0}, "got alpha, nbar"),
+        ],
+    )
+    def test_amplitude_given_exactly_once(self, family, params, named):
+        with pytest.raises(ValueError, match=named):
+            resolve_point(family, params)
 
 
 class TestRunSweep:
@@ -84,7 +100,7 @@ class TestRunSweep:
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_sweep(SweepConfig(**cfg, output_path=str(p1)))
-        run_sweep(SweepConfig(**cfg, output_path=str(p2)), parallel=True)
+        run_sweep(SweepConfig(**cfg, output_path=str(p2)))
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().splitlines()
         provenance = [ln for ln in lines if ln.startswith("#")]
@@ -197,6 +213,11 @@ class TestConfigLoading:
             load_sweep_config("/nonexistent/sweep.cfg")
 
 
+_FISHER_BASE = ["fisher", "--state", "squeezed_coherent", "--observable", "photon_number",
+                "--r", "0.3", "--alpha", "0.5"]
+_STATE_FLAGS = ("--r", "--alpha", "--phi", "--eta", "--nbar", "--tail-tol")
+
+
 class TestCli:
     def test_sensitivity_json(self, capsys):
         rc = main(
@@ -249,11 +270,68 @@ class TestCli:
             (["phase-scan", "--nbar", "4", "--r", "0.5", "--points", "1"], "--points"),
             (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "inf"], "--nbar"),
             (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "-1"], "--nbar"),
+            (["fisher", "--state", "sv", "--observable", "photon_number", "--r", "inf"], "--r"),
+            (["fisher", "--state", "coherent", "--observable", "photon_number", "--alpha", "inf"],
+             "--alpha"),
+            (["fisher", "--state", "coherent", "--observable", "photon_number", "--nbar", "1",
+              "--phi", "inf"], "--phi"),
+            (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "1",
+              "--tail-tol", "-1"], "--tail-tol"),
+            (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "1",
+              "--tail-tol", "nan"], "--tail-tol"),
+            (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "4",
+              "--r", "0.1"], "nbar, r"),
+            (["sensitivity", "--state", "coherent", "--observable", "photon_number", "--nbar", "4",
+              "--alpha", "2"], "nbar, alpha"),
+            (["fisher", "--state", "coherent", "--observable", "photon_number"], "nbar, alpha"),
         ],
     )
     def test_bad_input_names_the_flag(self, argv, flag, capsys):
         assert main(argv) == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep, fixed, key",
+        [
+            ("state_family = coherent\naxis = eta\nvalues = 0.5", "nbar = inf", "nbar"),
+            ("state_family = sv\naxis = eta\nvalues = 0.5", "nbar = -1", "nbar"),
+            ("state_family = sv\naxis = nbar\nvalues = 1\ntail_tol = -1", "", "tail_tol"),
+            ("state_family = sv\naxis = nbar\nvalues = 1\ntail_tol = nan", "", "tail_tol"),
+            ("state_family = sv\naxis = nbar\nvalues = 4", "r = 0.1", "nbar, r"),
+            ("state_family = coherent\naxis = eta\nvalues = 0.5", "", "nbar, alpha"),
+        ],
+    )
+    def test_bad_config_value_names_the_key(self, sweep, fixed, key, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[sweep]\n{sweep}\n[fixed]\n{fixed}\n")
+        assert main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize(
+        "base, flag",
+        [
+            (base, flag)
+            for base, flags in (
+                (_FISHER_BASE, _STATE_FLAGS),
+                (["sensitivity", *_FISHER_BASE[1:]], _STATE_FLAGS),
+                (["phase-scan", "--nbar", "1", "--r", "0.3", "--points", "3"],
+                 ("--nbar", "--r", "--eta", "--points", "--tail-tol")),
+                (["squeeze-scan", "--nbar", "1", "--eta", "0.5", "--points", "3"],
+                 ("--nbar", "--eta", "--phi", "--points", "--tail-tol")),
+            )
+            for flag in flags
+        ],
+    )
+    def test_numeric_flags_never_raise(self, base, flag, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = list(base)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        assert main(argv) in (0, 1, 2)
 
     @pytest.mark.parametrize("observable", ["photon_number", "quad_q"])
     def test_fisher_builds_the_probe_once(self, observable, monkeypatch, capsys):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import binom
@@ -30,16 +30,26 @@ _SIGNED = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 _VECTORS = st.integers(1, 600).flatmap(
     lambda n: hnp.arrays(np.float64, st.sampled_from([(n,), (n, 1), (n, 2)]), elements=_SIGNED)
 )
+_UNIT_ROUNDOFF = 2.0**-53
 _ETAS = st.one_of(st.sampled_from([0.0, 1e-6, 1.0 - 1e-6, 1.0]), st.floats(0.0, 1.0))
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(v=_VECTORS, eta=_ETAS)
+# At eta = 0 every entry of a column lands in out[0], so both routes sum all n
+# equal terms, in different orders; these two sizes need more than 1e-14.
+@example(v=np.full(500, 880116.41), eta=0.0)
+@example(v=np.full(600, 880116.41), eta=0.0)
 def test_banded_matches_dense(v, eta):
     banded = apply_binomial_loss(v, eta)
     assert banded.shape == v.shape
-    # Per column: dropped band mass < 1e-25, the rest is summation-order roundoff.
-    bound = 1e-14 * np.abs(v).sum(axis=0)
+    # Each route sums at most n products w v with 0 <= w <= 1, so each is within
+    # gamma_n * sum|v| of the exact sum, gamma_n = n u / (1 - n u) with unit
+    # roundoff u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    # Algorithms, sec. 4.2); the band drops < 1e-25 of each column's weight.
+    n = v.shape[0]
+    gamma_n = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    bound = (2.0 * gamma_n + 1e-25) * np.abs(v).sum(axis=0)
     assert np.all(np.abs(banded - dense_thin(v, eta)) <= bound)
 
 
