@@ -15,7 +15,6 @@ from .channels import (
 )
 from .distributions import (
     Pmf,
-    QuadGridSpec,
     QuadPdf,
     coherent_pmf,
     sv_pmf_closed_form,
@@ -27,8 +26,6 @@ from .exceptions import (
     TruncationError,
 )
 from .fock import (
-    DensityMatrix,
-    FockCutoff,
     Moments,
     ProbeSpec,
     StateVector,
@@ -43,7 +40,6 @@ from .metrology import (
     fisher_continuous,
     fisher_discrete,
     fisher_photon_counting,
-    fisher_quadrature,
     fisher_ratio_coh_over_sv,
     limit_table,
     sensitivity_analytic,

@@ -14,8 +14,6 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.stats import binom
 
-from .fock import DensityMatrix, _as_matrix
-
 # Half width of the thinning band in column m: 14 sigma_m + 40 with
 # sigma_m^2 = m eta (1 - eta).  Bernstein's inequality for a sum of m
 # Bernoulli(eta) terms, P(|X - m eta| >= t) <= 2 exp(-t^2 / (2 sigma^2 + 2t/3)),
@@ -37,14 +35,14 @@ class LossSpec:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
-def tpa_generator(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+def tpa_generator(rho: np.ndarray) -> np.ndarray:
     """Apply the TPA Lindbladian (per unit absorbance) to a density matrix.
 
     Implemented with index shifts instead of explicit ladder matrices:
     (a^2 rho a_dag^2)[m, n] = sqrt((m+1)(m+2)(n+1)(n+2)) rho[m+2, n+2] and
     a_dag^2 a^2 = n(n-1) is diagonal.
     """
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho)
     dim = mat.shape[0]
     n = np.arange(dim, dtype=float)
     n2 = n * (n - 1.0)
@@ -66,16 +64,16 @@ def population_derivative(pmf: np.ndarray) -> np.ndarray:
     return out
 
 
-def loss_channel(rho: DensityMatrix | np.ndarray, loss: LossSpec) -> DensityMatrix:
+def loss_channel(rho: np.ndarray, loss: LossSpec) -> np.ndarray:
     """Pure-loss channel with transmissivity eta via the standard Kraus family.
 
     K_k removes k photons: (K_k rho K_k_dag)[m, n] = c_k[m] c_k[n] rho[m+k, n+k]
     with c_k[j]^2 = C(j+k, k) eta^j (1-eta)^k, exact within the truncated space.
     """
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho)
     eta = loss.eta
     if eta == 1.0:
-        return DensityMatrix(mat.copy())
+        return mat.astype(complex)
     dim = mat.shape[0]
     out = np.zeros_like(mat, dtype=complex)
     j = np.arange(dim)
@@ -84,7 +82,7 @@ def loss_channel(rho: DensityMatrix | np.ndarray, loss: LossSpec) -> DensityMatr
         jj = j[:keep]
         c = np.sqrt(binom.pmf(jj, jj + k, eta))
         out[:keep, :keep] += (c[:, None] * c[None, :]) * mat[k:, k:]
-    return DensityMatrix(out)
+    return out
 
 
 def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:

@@ -25,6 +25,10 @@ from .fock import StateVector, make_probe_state, moments  # noqa: F401
 
 _PI_QUARTER = math.pi ** (-0.25)
 _NEG_CLIP = -1e-12
+# Quadrature output grid: uniform points over |mean| + span * sigma of the
+# detected density (span widened where the derivative tails need it).
+_GRID_POINTS = 2001
+_SIGMA_SPAN = 6.0
 
 
 @dataclass
@@ -74,21 +78,6 @@ class QuadPdf:
         return float(np.trapezoid(self.grid**2 * self.density, dx=self.dq)) - m * m
 
 
-@dataclass(frozen=True)
-class QuadGridSpec:
-    """Uniform grid: half width |mean| + sigma_span * sigma of the detected density."""
-
-    n_points: int = 2001
-    sigma_span: float = 6.0
-    half_width: float | None = None
-
-    def __post_init__(self):
-        if self.n_points < 16:
-            raise ValueError("n_points must be at least 16")
-        if self.sigma_span <= 0.0:
-            raise ValueError("sigma_span must be positive")
-
-
 def sv_pmf_closed_form(nbar: float, n_max: int) -> Pmf:
     """Squeezed-vacuum photon distribution with mean nbar = sinh^2 r.
 
@@ -120,10 +109,10 @@ def coherent_pmf(nbar: float, n_max: int) -> Pmf:
     return Pmf(poisson.pmf(np.arange(n_max + 1), nbar))
 
 
-def pmf_auto_cutoff(kind: str, nbar: float, tail_tol: float = 1e-12, n_start: int = 64) -> int:
+def pmf_auto_cutoff(kind: str, nbar: float, tail_tol: float = 1e-12) -> int:
     """Smallest power-of-two-ish n_max with closed-form pmf tail below tail_tol."""
     builder = sv_pmf_closed_form if kind == "sv" else coherent_pmf
-    n_max = max(n_start, int(4 * nbar) + 50)
+    n_max = max(64, int(4 * nbar) + 50)
     while True:
         pmf = builder(nbar, n_max)
         if 1.0 - pmf.total() <= tail_tol:
@@ -190,10 +179,7 @@ def _clip_roundoff_negative(density: np.ndarray) -> np.ndarray:
 
 
 def quad_pdf_pair_from_state(
-    state: StateVector,
-    loss: LossSpec,
-    which: str,
-    grid: QuadGridSpec = QuadGridSpec(),
+    state: StateVector, loss: LossSpec, which: str
 ) -> tuple[QuadPdf, QuadPdf]:
     """Detected quadrature density P(x) and its absorbance derivative dP(x)/d eps.
 
@@ -213,15 +199,13 @@ def quad_pdf_pair_from_state(
     mean0, var0 = (mom.mean_q, mom.var_q) if which == "q" else (mom.mean_p, mom.var_p)
     mean_det = math.sqrt(eta) * mean0
     var_det = eta * var0 + 0.5 * (1.0 - eta)
-    half = grid.half_width
-    if half is None:
-        # The derivative density carries polynomially enhanced tails (the
-        # n(n-1)-weighted term scales with <a_dag^2 a^2>); widen beyond
-        # sigma_span where needed so it still integrates to 0 within 1e-6.
-        pair_moment = max(mom.var_n + mom.mean_n**2 - mom.mean_n, 0.0)
-        span = max(grid.sigma_span, math.sqrt(2.0 * math.log((pair_moment + 1.0) * 1e8)) + 1.0)
-        half = abs(mean_det) + span * math.sqrt(var_det)
-    x = np.linspace(-half, half, grid.n_points)
+    # The derivative density carries polynomially enhanced tails (the
+    # n(n-1)-weighted term scales with <a_dag^2 a^2>); widen beyond
+    # _SIGMA_SPAN where needed so it still integrates to 0 within 1e-6.
+    pair_moment = max(mom.var_n + mom.mean_n**2 - mom.mean_n, 0.0)
+    span = max(_SIGMA_SPAN, math.sqrt(2.0 * math.log((pair_moment + 1.0) * 1e8)) + 1.0)
+    half = abs(mean_det) + span * math.sqrt(var_det)
+    x = np.linspace(-half, half, _GRID_POINTS)
     dq = float(x[1] - x[0])
 
     amp = state.amp if which == "q" else _momentum_rotated(state.amp)
@@ -235,7 +219,7 @@ def quad_pdf_pair_from_state(
         lam_min = math.pi / math.sqrt(2.0 * state.dim - 1.0)
         dy = dq / math.sqrt(eta)
         refine = min(max(1, math.ceil(3.0 * dy / lam_min)), 16)
-        fine = np.linspace(-half, half, refine * (grid.n_points - 1) + 1)
+        fine = np.linspace(-half, half, refine * (_GRID_POINTS - 1) + 1)
         p0, dp0 = _pure_state_densities(amp, fine / math.sqrt(eta))
         scale = 1.0 / math.sqrt(eta)
         dq_fine = float(fine[1] - fine[0])

@@ -35,7 +35,10 @@ def cutoff_cap(explicit: int | None = None) -> int:
         return int(explicit)
     env = os.environ.get(CUTOFF_CAP_ENV)
     if env is not None:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0  # not an integer: rejected below with the variable's name
         if cap < 1:
             raise ValueError(f"{CUTOFF_CAP_ENV} must be a positive integer, got {env!r}")
         return cap
@@ -102,24 +105,6 @@ class ProbeSpec:
         return self.n_squeeze + self.alpha_abs**2 * self.seed_gain
 
 
-@dataclass(frozen=True)
-class FockCutoff:
-    """Truncation contract: highest retained Fock index and admissible tail population."""
-
-    n_max: int
-    tail_tol: float = DEFAULT_TAIL_TOL
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
-        if not (self.tail_tol > 0.0):
-            raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-
 @dataclass
 class StateVector:
     """Pure state amplitudes c_n in the truncated Fock basis."""
@@ -145,49 +130,16 @@ class StateVector:
     def populations(self) -> np.ndarray:
         return np.abs(self.amp) ** 2
 
-    def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amp, self.amp.conj()))
+    def to_density_matrix(self) -> np.ndarray:
+        return np.outer(self.amp, self.amp.conj())
 
     def fidelity(self, other: "StateVector") -> float:
         n = min(self.dim, other.dim)
         return float(abs(np.vdot(self.amp[:n], other.amp[:n])) ** 2)
 
 
-@dataclass
-class DensityMatrix:
-    """Hermitian, trace-(almost-)one matrix in the truncated Fock basis."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.ndim != 2 or self.rho.shape[0] != self.rho.shape[1]:
-            raise ValueError("rho must be a square matrix")
-
-    @property
-    def n_max(self) -> int:
-        return self.rho.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
-
-
-def _as_matrix(state) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return state.rho
-    arr = np.asarray(state)
-    if arr.ndim != 2:
-        raise ValueError("expected a density matrix")
-    return arr
-
-
-def ladder_matrices(cutoff: FockCutoff | int) -> tuple[np.ndarray, np.ndarray]:
+def ladder_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense annihilation/creation matrices; a[n-1, n] = sqrt(n)."""
-    n_max = cutoff.n_max if isinstance(cutoff, FockCutoff) else int(cutoff)
     if n_max < 1:
         raise ValueError("ladder matrices need n_max >= 1")
     dim = n_max + 1
@@ -286,31 +238,31 @@ def tail_estimate(populations: np.ndarray) -> float:
 
 def make_probe_state(
     spec: ProbeSpec,
-    cutoff: FockCutoff | None = None,
+    cutoff: int | None = None,
     *,
     tail_tol: float = DEFAULT_TAIL_TOL,
     max_n: int | None = None,
 ) -> StateVector:
     """Construct S(zeta) D(alpha) |0> in a truncated Fock basis.
 
-    With an explicit ``cutoff`` the state is built once and rejected if the
-    estimated truncated population exceeds ``cutoff.tail_tol``.  Otherwise the
-    cutoff starts at max(4 <n> + 50, 64) and doubles until the tail estimate
-    drops below ``tail_tol``, up to the cap (TPA_CUTOFF_MAX, default 4096).
+    With an explicit ``cutoff`` (the highest retained Fock index) the state is
+    built once and rejected if the estimated truncated population exceeds
+    ``tail_tol``.  Otherwise the cutoff starts at max(4 <n> + 50, 64) and
+    doubles until the tail estimate drops below ``tail_tol``, up to the cap
+    (TPA_CUTOFF_MAX, default 4096).
     """
     if cutoff is not None:
         if spec.is_vacuum:
-            amp = np.zeros(cutoff.dim, dtype=complex)
+            amp = np.zeros(cutoff + 1, dtype=complex)
             amp[0] = 1.0
             return StateVector(amp)
-        if cutoff.n_max < 2:
+        if cutoff < 2:
             raise TruncationError("non-vacuum probes need n_max >= 2")
-        amp = _build_probe(spec, cutoff.n_max)
+        amp = _build_probe(spec, cutoff)
         est = tail_estimate(np.abs(amp) ** 2)
-        if est > cutoff.tail_tol:
+        if est > tail_tol:
             raise TruncationError(
-                f"tail population ~{est:.3e} exceeds tail_tol={cutoff.tail_tol:.1e} "
-                f"at n_max={cutoff.n_max}"
+                f"tail population ~{est:.3e} exceeds tail_tol={tail_tol:.1e} at n_max={cutoff}"
             )
         return StateVector(amp)
 
@@ -388,13 +340,9 @@ def _quad_moments(mean_n: float, var_n: float, ea: complex, ea2: complex) -> Mom
     )
 
 
-def moments(state: StateVector | DensityMatrix | np.ndarray) -> Moments:
+def moments(state: StateVector | np.ndarray) -> Moments:
     """Photon-number and quadrature moments of a state vector or density matrix."""
-    if isinstance(state, StateVector):
-        return _vector_moments(state.amp)
-    if isinstance(state, DensityMatrix):
-        return _matrix_moments(state.rho)
-    arr = np.asarray(state, dtype=complex)
+    arr = state.amp if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
     if arr.ndim == 1:
         return _vector_moments(arr)
     if arr.ndim == 2:

@@ -17,7 +17,6 @@ import numpy as np
 from .channels import LossSpec, apply_binomial_loss, population_derivative
 from .distributions import (
     Pmf,
-    QuadGridSpec,
     QuadPdf,
     coherent_pmf,
     pmf_auto_cutoff,
@@ -26,7 +25,7 @@ from .distributions import (
     sv_pmf_closed_form,
 )
 from .exceptions import IllConditionedBinWarning
-from .fock import FockCutoff, ProbeSpec, StateVector, make_probe_state
+from .fock import DEFAULT_TAIL_TOL, ProbeSpec, StateVector, make_probe_state
 
 OBSERVABLES = ("photon_number", "quad_q", "quad_p")
 
@@ -157,16 +156,11 @@ def sensitivity_analytic(spec: ProbeSpec, loss: LossSpec, observable: str) -> Se
 
 
 def sensitivity_numeric(
-    spec: ProbeSpec,
-    loss: LossSpec,
-    observable: str,
-    cutoff: FockCutoff | None = None,
-    grid: QuadGridSpec = QuadGridSpec(),
-    **kwargs,
+    spec: ProbeSpec, loss: LossSpec, observable: str, *, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> SensitivityResult:
     """Error-propagation sensitivity from the truncated-Fock measurement distributions."""
     _check_observable(observable)
-    state = make_probe_state(spec, cutoff, **kwargs)
+    state = make_probe_state(spec, tail_tol=tail_tol)
     if observable == "photon_number":
         pmf, dpmf = pmf_pair_from_state(state, loss)
         n = np.arange(pmf.p.size, dtype=float)
@@ -174,7 +168,7 @@ def sensitivity_numeric(
         slope_mass = float(np.dot(n, np.abs(dpmf)))
         var_det = pmf.var()
     else:
-        pdf, dpdf = quad_pdf_pair_from_state(state, loss, observable[-1], grid)
+        pdf, dpdf = quad_pdf_pair_from_state(state, loss, observable[-1])
         slope = float(np.trapezoid(pdf.grid * dpdf.density, dx=pdf.dq))
         slope_mass = float(np.trapezoid(np.abs(pdf.grid * dpdf.density), dx=pdf.dq))
         var_det = pdf.var()
@@ -188,91 +182,60 @@ def sensitivity_numeric(
 # ---------------------------------------------------------------------------
 
 
-def _fisher_terms(p: np.ndarray, dp: np.ndarray, p_floor: float, d_floor: float) -> tuple[np.ndarray, int]:
-    skip = (p < p_floor) & (np.abs(dp) < d_floor)
-    ill = (p < p_floor) & ~skip
+def _fisher_terms(p: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, int]:
+    skip = (p < P_FLOOR) & (np.abs(dp) < D_FLOOR)
+    ill = (p < P_FLOOR) & ~skip
     n_ill = int(np.count_nonzero(ill))
     if n_ill:
         warnings.warn(
-            f"{n_ill} bins with probability below {p_floor:.0e} but non-negligible "
+            f"{n_ill} bins with probability below {P_FLOOR:.0e} but non-negligible "
             "derivative; terms capped at the probability floor",
             IllConditionedBinWarning,
             stacklevel=3,
         )
-    denom = np.where(p < p_floor, p_floor, p)
+    denom = np.where(p < P_FLOOR, P_FLOOR, p)
     terms = np.where(skip, 0.0, dp * dp / denom)
     return terms, n_ill
 
 
 def fisher_discrete(
-    pmf: Pmf | np.ndarray,
-    dpmf: np.ndarray,
-    observable: str = "photon_number",
-    p_floor: float = P_FLOOR,
-    d_floor: float = D_FLOOR,
+    pmf: Pmf | np.ndarray, dpmf: np.ndarray, observable: str = "photon_number"
 ) -> FisherResult:
     """F = sum_n (dP_n/d eps)^2 / P_n with floor handling for empty bins."""
     p = pmf.p if isinstance(pmf, Pmf) else np.asarray(pmf, dtype=float)
     dp = np.asarray(dpmf, dtype=float)
     if p.shape != dp.shape:
         raise ValueError(f"pmf and derivative lengths differ: {p.shape} vs {dp.shape}")
-    terms, n_ill = _fisher_terms(p, dp, p_floor, d_floor)
+    terms, n_ill = _fisher_terms(p, dp)
     return FisherResult(float(terms.sum()), observable, n_ill)
 
 
-def fisher_continuous(
-    pdf: QuadPdf,
-    dpdf: QuadPdf,
-    observable: str = "quad_q",
-    p_floor: float = P_FLOOR,
-    d_floor: float = D_FLOOR,
-) -> FisherResult:
+def fisher_continuous(pdf: QuadPdf, dpdf: QuadPdf, observable: str = "quad_q") -> FisherResult:
     """F = integral (dP/d eps)^2 / P dq by trapezoid, same floor policy per grid point."""
     if pdf.grid.shape != dpdf.grid.shape or not np.allclose(pdf.grid, dpdf.grid):
         raise ValueError("pdf and derivative must share the same grid")
-    terms, n_ill = _fisher_terms(pdf.density, dpdf.density, p_floor, d_floor)
+    terms, n_ill = _fisher_terms(pdf.density, dpdf.density)
     return FisherResult(float(np.trapezoid(terms, dx=pdf.dq)), observable, n_ill)
 
 
-def fisher_from_state(
-    state: StateVector,
-    loss: LossSpec,
-    observable: str,
-    grid: QuadGridSpec = QuadGridSpec(),
-) -> FisherResult:
+def fisher_from_state(state: StateVector, loss: LossSpec, observable: str) -> FisherResult:
     """FI of an already-built probe state for one observable after loss."""
     _check_observable(observable)
     if observable == "photon_number":
         pmf, dpmf = pmf_pair_from_state(state, loss)
         return fisher_discrete(pmf, dpmf)
-    pdf, dpdf = quad_pdf_pair_from_state(state, loss, observable[-1], grid)
+    pdf, dpdf = quad_pdf_pair_from_state(state, loss, observable[-1])
     return fisher_continuous(pdf, dpdf, observable=observable)
 
 
 def fisher_photon_counting(
-    spec: ProbeSpec,
-    loss: LossSpec,
-    cutoff: FockCutoff | None = None,
-    **kwargs,
+    spec: ProbeSpec, loss: LossSpec, *, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> FisherResult:
     """Photon-counting FI of a probe through TPA derivative and binomial loss."""
-    return fisher_from_state(make_probe_state(spec, cutoff, **kwargs), loss, "photon_number")
+    return fisher_from_state(make_probe_state(spec, tail_tol=tail_tol), loss, "photon_number")
 
 
-def fisher_quadrature(
-    spec: ProbeSpec,
-    loss: LossSpec,
-    which: str,
-    grid: QuadGridSpec = QuadGridSpec(),
-    cutoff: FockCutoff | None = None,
-    **kwargs,
-) -> FisherResult:
-    """Quadrature FI of a probe from the detected density and its derivative."""
-    state = make_probe_state(spec, cutoff, **kwargs)
-    return fisher_from_state(state, loss, f"quad_{which}", grid)
-
-
-def fisher_ratio_coh_over_sv(nbar: float, loss: LossSpec, tail_tol: float = 1e-12) -> float:
+def fisher_ratio_coh_over_sv(nbar: float, loss: LossSpec) -> float:
     """Ratio of photon-counting FIs, coherent over squeezed vacuum, at equal incident <n>.
 
     Below one the squeezed probe carries more information.  Uses the
@@ -280,9 +243,7 @@ def fisher_ratio_coh_over_sv(nbar: float, loss: LossSpec, tail_tol: float = 1e-1
     """
     if nbar <= 0.0:
         raise ValueError("nbar must be positive")
-    n_max = max(
-        pmf_auto_cutoff("sv", nbar, tail_tol), pmf_auto_cutoff("coherent", nbar, tail_tol)
-    )
+    n_max = max(pmf_auto_cutoff("sv", nbar), pmf_auto_cutoff("coherent", nbar))
     fis = {}
     for kind, builder in (("coherent", coherent_pmf), ("sv", sv_pmf_closed_form)):
         p0 = builder(nbar, n_max).p

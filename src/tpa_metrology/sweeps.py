@@ -48,6 +48,12 @@ _INPUT_RULES = {
     "eta": (lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
     "tail_tol": (lambda x: x > 0.0, "a finite number > 0"),
 }
+# Keys a sweep config file may set, by section; any other key is rejected.
+_CONFIG_KEYS = {
+    "sweep": ("state_family", "observable", "axis", "values", "start", "stop", "num",
+              "spacing", "output", "tail_tol"),
+    "fixed": ("nbar", "r", "n_r", "alpha", "phi", "eta"),
+}
 
 
 @dataclass
@@ -192,33 +198,43 @@ def load_sweep_config(
         raise ValueError(f"cannot read sweep config {path!r}")
     if "sweep" not in parser:
         raise ValueError("config must contain a [sweep] section")
-    sweep = dict(parser["sweep"])
-    fixed = {k: float(v) for k, v in parser["fixed"].items()} if "fixed" in parser else {}
+    sections = {name: dict(parser[name]) if name in parser else {} for name in _CONFIG_KEYS}
     for key, val in (overrides or {}).items():
         section, _, name = key.rpartition(".")
-        if section in ("", "sweep"):
-            sweep[name] = val
-        elif section == "fixed":
-            fixed[name] = float(val)
-        else:
+        if section not in ("", *sections):
             raise ValueError(f"unknown override section {section!r}")
+        sections[section or "sweep"][name] = val
+    for section, given in sections.items():
+        unknown = sorted(set(given) - set(_CONFIG_KEYS[section]))
+        if unknown:
+            raise ValueError(
+                f"unknown [{section}] key(s) {', '.join(unknown)}; "
+                f"known: {', '.join(_CONFIG_KEYS[section])}"
+            )
+    sweep = sections["sweep"]
+    fixed = {k: check_input(k, v) for k, v in sections["fixed"].items()}
+    axis = sweep.get("axis", "nbar")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    spacing = sweep.get("spacing", "linear")
+    if spacing not in ("linear", "log"):
+        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
     if "values" in sweep:
-        values = tuple(float(tok) for tok in sweep["values"].replace(",", " ").split())
+        values = tuple(check_input(axis, tok) for tok in sweep["values"].replace(",", " ").split())
     else:
-        try:
-            start, stop, num = float(sweep["start"]), float(sweep["stop"]), int(sweep["num"])
-        except KeyError as exc:
-            raise ValueError("config needs 'values' or start/stop/num") from exc
-        if sweep.get("spacing", "linear") == "log":
-            values = tuple(np.geomspace(start, stop, num))
-        else:
-            values = tuple(np.linspace(start, stop, num))
+        if not {"start", "stop", "num"} <= set(sweep):
+            raise ValueError("config needs 'values' or start/stop/num")
+        start, stop = check_input(axis, sweep["start"]), check_input(axis, sweep["stop"])
+        num = sweep["num"]
+        if not (num.isdecimal() and int(num) > 0):
+            raise ValueError(f"num must be a positive integer, got {num!r}")
+        values = tuple((np.geomspace if spacing == "log" else np.linspace)(start, stop, int(num)))
 
     return SweepConfig(
         state_family=sweep.get("state_family", "sv"),
         observable=sweep.get("observable", "photon_number"),
-        sweep_axis=sweep.get("axis", "nbar"),
+        sweep_axis=axis,
         axis_values=values,
         fixed_params=fixed,
         output_path=output or sweep.get("output", "sweep.csv"),

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import conftest
-from tpa_metrology import LossSpec, ProbeSpec
+from tpa_metrology import LossSpec, ProbeSpec, make_probe_state
 from tpa_metrology.metrology import (
     amplitude_for_mean_n,
+    fisher_from_state,
     fisher_photon_counting,
-    fisher_quadrature,
     fisher_ratio_coh_over_sv,
     limit_table,
     sensitivity_analytic,
@@ -108,7 +108,9 @@ def test_criterion_5_quadrature_scaling():
     ns_p = np.array([5.0, 7.0, 10.0, 14.0, 20.0])
     fi_p = np.array(
         [
-            fisher_quadrature(sv_spec(n), LossSpec(1.0), "p", tail_tol=1e-9, max_n=1024).fi
+            fisher_from_state(
+                make_probe_state(sv_spec(n), tail_tol=1e-9, max_n=1024), LossSpec(1.0), "quad_p"
+            ).fi
             for n in ns_p
         ]
     )
@@ -118,7 +120,9 @@ def test_criterion_5_quadrature_scaling():
     ns_q = np.array([10.0, 15.0, 22.0, 30.0, 40.0])
     fi_q = np.array(
         [
-            fisher_quadrature(sv_spec(n), LossSpec(0.5), "q", tail_tol=1e-5, max_n=1024).fi
+            fisher_from_state(
+                make_probe_state(sv_spec(n), tail_tol=1e-5, max_n=1024), LossSpec(0.5), "quad_q"
+            ).fi
             for n in ns_q
         ]
     )
@@ -144,12 +148,12 @@ def test_criterion_5_quadrature_scaling():
 
 def test_criterion_6_coherent_quadrature_fi():
     n = 25.0
-    spec_q = ProbeSpec.coherent(math.sqrt(n), 0.0)
-    fi_q = fisher_quadrature(spec_q, LossSpec(1.0), "q").fi
-    fi_p = fisher_quadrature(spec_q, LossSpec(1.0), "p").fi
+    state_q = make_probe_state(ProbeSpec.coherent(math.sqrt(n), 0.0))
+    fi_q = fisher_from_state(state_q, LossSpec(1.0), "quad_q").fi
+    fi_p = fisher_from_state(state_q, LossSpec(1.0), "quad_p").fi
     dev_q = abs(fi_q / (n**3 + n**2 / 2.0) - 1.0)
     dev_p = abs(fi_p / (n**2 / 2.0) - 1.0)
-    fi_q_lossy = fisher_quadrature(spec_q, LossSpec(0.5), "q").fi
+    fi_q_lossy = fisher_from_state(state_q, LossSpec(0.5), "quad_q").fi
     reduced = fi_q_lossy < fi_q
     ok = dev_q < 0.05 and dev_p < 0.05 and reduced
     report(

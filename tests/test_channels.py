@@ -12,7 +12,7 @@ from tpa_metrology.channels import (
     population_derivative,
     tpa_generator,
 )
-from tpa_metrology.fock import FockCutoff, ProbeSpec, make_probe_state, moments
+from tpa_metrology.fock import ProbeSpec, make_probe_state, moments
 
 
 def fock_projector(n: int, dim: int) -> np.ndarray:
@@ -67,25 +67,25 @@ class TestPopulationDerivative:
 
 class TestLossChannel:
     def test_identity_at_full_transmission(self):
-        rho = make_probe_state(ProbeSpec.coherent(1.0), FockCutoff(24)).to_density_matrix().rho
-        out = loss_channel(rho, LossSpec(1.0)).rho
+        rho = make_probe_state(ProbeSpec.coherent(1.0), 24).to_density_matrix()
+        out = loss_channel(rho, LossSpec(1.0))
         assert np.allclose(out, rho)
 
     def test_coherent_stays_coherent(self):
-        rho = make_probe_state(ProbeSpec.coherent(2.0)).to_density_matrix().rho
+        rho = make_probe_state(ProbeSpec.coherent(2.0)).to_density_matrix()
         out = loss_channel(rho, LossSpec(0.6))
         assert moments(out).mean_n == pytest.approx(0.6 * 4.0, rel=1e-9)
         target = make_probe_state(
-            ProbeSpec.coherent(2.0 * math.sqrt(0.6)), FockCutoff(out.n_max)
+            ProbeSpec.coherent(2.0 * math.sqrt(0.6)), out.shape[0] - 1
         ).amp
-        fidelity = np.real(target.conj() @ out.rho @ target)
+        fidelity = np.real(target.conj() @ out @ target)
         assert fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussian_variance_rule(self):
         # var_out = eta var_in + (1 - eta)/2 for each quadrature
         state = make_probe_state(ProbeSpec.squeezed_vacuum(1.0))
         eta = 0.35
-        out = moments(loss_channel(state.to_density_matrix().rho, LossSpec(eta)))
+        out = moments(loss_channel(state.to_density_matrix(), LossSpec(eta)))
         want_q = eta * math.exp(2.0) / 2.0 + (1.0 - eta) / 2.0
         want_p = eta * math.exp(-2.0) / 2.0 + (1.0 - eta) / 2.0
         assert out.var_q == pytest.approx(want_q, rel=1e-9)
@@ -98,7 +98,7 @@ class TestLossChannel:
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
             out = loss_channel(rho, LossSpec(eta))
-            assert out.trace() == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
     def test_against_two_mode_beam_splitter(self):
         # oracle: couple to a vacuum ancilla with theta = arccos(sqrt(eta)), trace it out
@@ -118,7 +118,7 @@ class TestLossChannel:
         vac[0, 0] = 1.0
         big = u @ np.kron(rho, vac) @ u.conj().T
         reduced = big.reshape(dim_s, dim_c, dim_s, dim_c).trace(axis1=1, axis2=3)
-        assert np.max(np.abs(reduced - loss_channel(rho, LossSpec(eta)).rho)) < 1e-10
+        assert np.max(np.abs(reduced - loss_channel(rho, LossSpec(eta)))) < 1e-10
 
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestBinomialLossPmf:
         p = rng.random(40)
         p /= p.sum()
         out = binomial_loss_pmf(p, LossSpec(0.7))
-        via_kraus = np.diagonal(loss_channel(np.diag(p.astype(complex)), LossSpec(0.7)).rho).real
+        via_kraus = np.diagonal(loss_channel(np.diag(p.astype(complex)), LossSpec(0.7))).real
         assert np.max(np.abs(out - via_kraus)) < 1e-12
 
     def test_rejects_unnormalized(self):
@@ -157,9 +157,9 @@ class TestBinomialLossPmf:
             binomial_loss_pmf(np.array([0.5, 0.2]), LossSpec(0.5))
 
 
-def first_order_pair(spec, cutoff=None):
+def first_order_pair(spec, cutoff=None, tail_tol=1e-10):
     """rho0 = |psi><psi| of the built probe and d rho / d eps = L(rho0) at eps = 0."""
-    rho0 = make_probe_state(spec, cutoff).to_density_matrix().rho
+    rho0 = make_probe_state(spec, cutoff, tail_tol=tail_tol).to_density_matrix()
     return rho0, tpa_generator(rho0)
 
 
@@ -190,7 +190,7 @@ class TestPerturbState:
     def test_first_order_against_rk4(self):
         # ||rho(eps) - rho0 - eps drho|| <= C eps^2 with stable C
         rho0, drho = first_order_pair(
-            ProbeSpec(r=0.6, alpha_abs=1.0, phi=0.2), FockCutoff(48, 1e-6)
+            ProbeSpec(r=0.6, alpha_abs=1.0, phi=0.2), 48, tail_tol=1e-6
         )
         cs = []
         for eps in (1e-4, 1e-5):
@@ -210,6 +210,6 @@ class TestPerturbState:
         # applying the loss channel to both members keeps trace/Hermiticity contracts
         _, drho = first_order_pair(ProbeSpec(r=0.5, alpha_abs=0.8, phi=1.0))
         loss = LossSpec(0.6)
-        drho_lossy = loss_channel(drho, loss).rho
+        drho_lossy = loss_channel(drho, loss)
         assert abs(np.trace(drho_lossy)) < 1e-12
         assert np.max(np.abs(drho_lossy - drho_lossy.conj().T)) < 1e-12

@@ -6,7 +6,6 @@ import pytest
 from tpa_metrology.channels import LossSpec, loss_channel, tpa_generator
 from tpa_metrology.distributions import (
     Pmf,
-    QuadGridSpec,
     coherent_pmf,
     hermite_functions,
     pmf_pair_from_state,
@@ -15,7 +14,7 @@ from tpa_metrology.distributions import (
     sv_pmf_closed_form,
 )
 from tpa_metrology.exceptions import GridError
-from tpa_metrology.fock import FockCutoff, ProbeSpec, make_probe_state, moments
+from tpa_metrology.fock import ProbeSpec, StateVector, make_probe_state, moments
 
 
 class TestSvPmfClosedForm:
@@ -163,21 +162,17 @@ class TestQuadPdf:
         assert pdf.mean() == pytest.approx(math.sqrt(2 * eta) * alpha, rel=1e-8)
 
     def test_grid_too_narrow_raises(self):
+        # a density that does not integrate to 1 +- 1e-6 breaks the grid contract
         state = make_probe_state(ProbeSpec.coherent(2.0))
         with pytest.raises(GridError):
-            quad_pdf_pair_from_state(
-                state,
-                LossSpec(1.0),
-                "q",
-                QuadGridSpec(n_points=501, half_width=2.0),
-            )
+            quad_pdf_pair_from_state(StateVector(0.999 * state.amp), LossSpec(1.0), "q")
 
     def test_convolution_matches_kraus_marginal(self):
         # rescale-and-convolve equals the Kraus channel followed by the marginal
-        state = make_probe_state(ProbeSpec(r=0.7, alpha_abs=1.0, phi=0.6), FockCutoff(64, 1e-6))
+        state = make_probe_state(ProbeSpec(r=0.7, alpha_abs=1.0, phi=0.6), 64, tail_tol=1e-6)
         for eta, which in ((0.3, "q"), (0.8, "p")):
             pdf, _ = quad_pdf_pair_from_state(state, LossSpec(eta), which)
-            lossy = loss_channel(state.to_density_matrix().rho, LossSpec(eta)).rho
+            lossy = loss_channel(state.to_density_matrix(), LossSpec(eta))
             direct = quad_pdf_from_density(lossy, pdf.grid, which)
             assert np.max(np.abs(direct - pdf.density)) < 1e-8
 
@@ -185,7 +180,7 @@ class TestQuadPdf:
         spec = ProbeSpec(r=0.9, alpha_abs=1.4, phi=0.8)
         state = make_probe_state(spec)
         eta = 0.55
-        lossy = loss_channel(state.to_density_matrix().rho, LossSpec(eta))
+        lossy = loss_channel(state.to_density_matrix(), LossSpec(eta))
         mom = moments(lossy)
         pdf_q, _ = quad_pdf_pair_from_state(state, LossSpec(eta), "q")
         pdf_p, _ = quad_pdf_pair_from_state(state, LossSpec(eta), "p")
@@ -198,8 +193,8 @@ class TestQuadPdf:
         spec = ProbeSpec(r=0.8, alpha_abs=1.1, phi=0.3)
         state = make_probe_state(spec)
         eta = 0.7
-        drho = tpa_generator(state.to_density_matrix().rho)
-        drho_lossy = loss_channel(drho, LossSpec(eta)).rho
+        drho = tpa_generator(state.to_density_matrix())
+        drho_lossy = loss_channel(drho, LossSpec(eta))
         n = np.arange(drho_lossy.shape[0], dtype=float)
         ea2 = complex(np.sum(np.sqrt(n[2:] * (n[2:] - 1.0)) * np.diagonal(drho_lossy, -2)))
         dn = float(np.dot(n, np.diagonal(drho_lossy).real))

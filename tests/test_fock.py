@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 from tpa_metrology.exceptions import TruncationError
 from tpa_metrology.fock import (
-    FockCutoff,
     ProbeSpec,
     StateVector,
     apply_displacement,
@@ -21,7 +20,7 @@ SQRT2 = math.sqrt(2.0)
 
 def dense_squeeze_oracle(r: float, phi_r: float, n_max: int) -> np.ndarray:
     """S(zeta)|0> via a dense matrix exponential, independent of the library path."""
-    a, adag = ladder_matrices(FockCutoff(n_max))
+    a, adag = ladder_matrices(n_max)
     zeta = r * np.exp(1j * phi_r)
     gen = 0.5 * zeta * (adag @ adag) - 0.5 * np.conj(zeta) * (a @ a)
     vac = np.zeros(n_max + 1, dtype=complex)
@@ -31,19 +30,19 @@ def dense_squeeze_oracle(r: float, phi_r: float, n_max: int) -> np.ndarray:
 
 class TestLadderMatrices:
     def test_entries(self):
-        a, adag = ladder_matrices(FockCutoff(2))
+        a, adag = ladder_matrices(2)
         assert a[0, 1] == pytest.approx(1.0)
         assert a[1, 2] == pytest.approx(math.sqrt(2.0))
         assert np.count_nonzero(a) == 2
         assert np.allclose(adag, a.conj().T)
 
     def test_number_operator_diagonal(self):
-        a, adag = ladder_matrices(FockCutoff(6))
+        a, adag = ladder_matrices(6)
         assert np.allclose(np.diagonal(adag @ a).real, np.arange(7))
 
     def test_commutator_truncation(self):
         n_max = 8
-        a, adag = ladder_matrices(FockCutoff(n_max))
+        a, adag = ladder_matrices(n_max)
         comm = a @ adag - adag @ a
         assert np.allclose(comm[:n_max, :n_max], np.eye(n_max))
         assert comm[n_max, n_max].real == pytest.approx(-n_max)
@@ -83,7 +82,7 @@ class TestMakeProbeState:
         assert np.allclose(state.amp[1:], 0.0)
 
     def test_squeezed_vacuum_against_dense_expm(self):
-        state = make_probe_state(ProbeSpec.squeezed_vacuum(1.0), FockCutoff(64, 1e-8))
+        state = make_probe_state(ProbeSpec.squeezed_vacuum(1.0), 64, tail_tol=1e-8)
         oracle = dense_squeeze_oracle(1.0, 0.0, 64)
         assert np.max(np.abs(state.amp - oracle)) < 1e-12
         # mean shifts by ~n_cut * tail at a hard cutoff; spec contract is rel 1e-8
@@ -105,7 +104,7 @@ class TestMakeProbeState:
     def test_ordering_identity(self):
         # S(zeta) D(alpha) |0> = D(alpha cosh r + conj(alpha) sinh r) S(zeta) |0>
         r, alpha = 0.5, 1.0
-        lhs = make_probe_state(ProbeSpec(r=r, alpha_abs=alpha), FockCutoff(128))
+        lhs = make_probe_state(ProbeSpec(r=r, alpha_abs=alpha), 128)
         sv = StateVector(np.eye(129, dtype=complex)[0])
         sv = apply_squeeze(sv, r)
         rhs = apply_displacement(sv, alpha * math.cosh(r) + alpha * math.sinh(r))
@@ -114,8 +113,8 @@ class TestMakeProbeState:
     def test_general_phase_against_dense_expm(self):
         # cutoff 128 so both operator orderings agree to machine precision
         spec = ProbeSpec(r=0.7, phi_r=1.1, alpha_abs=0.9, phi=2.0)
-        state = make_probe_state(spec, FockCutoff(128, 1e-8))
-        a, adag = ladder_matrices(FockCutoff(128))
+        state = make_probe_state(spec, 128, tail_tol=1e-8)
+        a, adag = ladder_matrices(128)
         alpha = spec.alpha
         disp = expm(alpha * adag - np.conj(alpha) * a)
         vac = np.zeros(129, dtype=complex)
@@ -127,7 +126,14 @@ class TestMakeProbeState:
 
     def test_strict_cutoff_rejection(self):
         with pytest.raises(TruncationError):
-            make_probe_state(ProbeSpec.squeezed_vacuum(2.0), FockCutoff(16))
+            make_probe_state(ProbeSpec.squeezed_vacuum(2.0), 16)
+
+    def test_fixed_cutoff_checked_against_tail_tol(self):
+        # the one tail_tol bounds a fixed cutoff as it does the adaptive one
+        spec = ProbeSpec(r=0.8, alpha_abs=1.2, phi=0.4)
+        assert make_probe_state(spec, 64, tail_tol=1e-5).n_max == 64
+        with pytest.raises(TruncationError):
+            make_probe_state(spec, 64)
 
     def test_auto_cutoff_unreachable(self):
         with pytest.raises(TruncationError):
@@ -143,7 +149,7 @@ class TestMakeProbeState:
             assert abs(state.norm() - 1.0) < 1e-10
 
     def test_unitarity_roundtrip(self):
-        state = make_probe_state(ProbeSpec.coherent(1.0, 0.6), FockCutoff(96))
+        state = make_probe_state(ProbeSpec.coherent(1.0, 0.6), 96)
         roundtrip = apply_squeeze(apply_squeeze(state, 0.9, 0.4), -0.9, 0.4)
         assert state.fidelity(roundtrip) > 1.0 - 1e-10
 

@@ -7,13 +7,13 @@ import pytest
 from tpa_metrology.channels import LossSpec
 from tpa_metrology.distributions import QuadPdf
 from tpa_metrology.exceptions import IllConditionedBinWarning
-from tpa_metrology.fock import ProbeSpec
+from tpa_metrology.fock import ProbeSpec, make_probe_state
 from tpa_metrology.metrology import (
     amplitude_for_mean_n,
     fisher_continuous,
     fisher_discrete,
+    fisher_from_state,
     fisher_photon_counting,
-    fisher_quadrature,
     fisher_ratio_coh_over_sv,
     limit_table,
     sensitivity_analytic,
@@ -130,19 +130,19 @@ class TestFisherDiscrete:
 
 class TestFisherContinuous:
     def test_vacuum_is_zero(self):
-        fi = fisher_quadrature(ProbeSpec.vacuum(), LossSpec(1.0), "q")
+        fi = fisher_from_state(make_probe_state(ProbeSpec.vacuum()), LossSpec(1.0), "quad_q")
         assert fi.fi == pytest.approx(0.0, abs=1e-12)
 
     def test_sv_squeezed_quadrature_quartic(self):
         # leading order 32 n^4 at eta = 1; 15% tolerance at n = 10
         n = 10.0
-        fi = fisher_quadrature(sv_spec(n), LossSpec(1.0), "p")
+        fi = fisher_from_state(make_probe_state(sv_spec(n)), LossSpec(1.0), "quad_p")
         assert fi.fi == pytest.approx(32.0 * n**4, rel=0.15)
 
     def test_sv_antisqueezed_quadratic(self):
         # leading order 21 n^2 / 2; 15% tolerance at n = 20, eta = 0.5
         n = 20.0
-        fi = fisher_quadrature(sv_spec(n), LossSpec(0.5), "q")
+        fi = fisher_from_state(make_probe_state(sv_spec(n)), LossSpec(0.5), "quad_q")
         assert fi.fi == pytest.approx(10.5 * n**2, rel=0.15)
 
     def test_grid_mismatch_rejected(self):

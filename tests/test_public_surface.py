@@ -7,6 +7,8 @@ without failing any other test.
 """
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,13 @@ SURFACE = {
 )
 def test_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "FisherResult" in capsys.readouterr().out
 
 
 def test_probe_constructors_resolve():

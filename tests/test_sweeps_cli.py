@@ -299,6 +299,14 @@ class TestCli:
             ("state_family = sv\naxis = nbar\nvalues = 1\ntail_tol = nan", "", "tail_tol"),
             ("state_family = sv\naxis = nbar\nvalues = 4", "r = 0.1", "nbar, r"),
             ("state_family = coherent\naxis = eta\nvalues = 0.5", "", "nbar, alpha"),
+            ("state_family = sv\naxis = eta\nvalues = 0.5 x", "nbar = 1", "eta"),
+            ("state_family = sv\naxis = eta\nvalues = 0.5", "nbar = abc", "nbar"),
+            ("state_family = sv\naxis = nbar\nstart = abc\nstop = 2\nnum = 2", "", "nbar"),
+            ("state_family = sv\naxis = nbar\nstart = 1\nstop = 2\nnum = abc", "", "num"),
+            ("state_family = sv\naxis = nbar\nvalues = 1\nobservabel = quad_q", "", "observabel"),
+            ("state_family = sv\naxis = nbar\nstart = 1\nstop = 2\nnum = 2\nspacing = logg", "",
+             "spacing"),
+            ("state_family = sv\naxis = nbar\nvalues = 1", "etaa = 0.3", "etaa"),
         ],
     )
     def test_bad_config_value_names_the_key(self, sweep, fixed, key, tmp_path, capsys):
@@ -307,6 +315,19 @@ class TestCli:
         assert main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("item, key", [("fixed.eta=abc", "eta"), ("fixed.etaa=0.3", "etaa")])
+    def test_bad_override_names_the_key(self, item, key, config_file, tmp_path, capsys):
+        path, out = config_file
+        assert main(["sweep", str(path), "--set", item]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_cutoff_cap_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("TPA_CUTOFF_MAX", "abc")
+        argv = ["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "1"]
+        assert main(argv) == 1
+        assert "TPA_CUTOFF_MAX" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     @pytest.mark.parametrize(
