@@ -22,6 +22,9 @@ from scipy.stats import binom
 # 2 exp(-60) < 1e-25 of that column.
 _BAND_SIGMAS = 14.0
 _BAND_PAD = 40.0
+# The band is filled a block of whole columns of about this many cells at a
+# time, so its index and pmf temporaries stay small next to the matrix.
+_BLOCK_CELLS = 65536
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,14 @@ def loss_channel(rho: np.ndarray, loss: LossSpec) -> np.ndarray:
     return out
 
 
+def _binom_pmf(n: np.ndarray, m: np.ndarray, eta: float) -> np.ndarray:
+    """binom.pmf(n, m, eta), through logpmf where pmf overflows (eta near 1e-308)."""
+    try:
+        return binom.pmf(n, m, eta)
+    except OverflowError:
+        return np.exp(binom.logpmf(n, m, eta))
+
+
 def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:
     """Binomial-thinning linear map on a photon-count vector (need not be a pmf).
 
@@ -106,9 +117,19 @@ def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:
     counts = hi - lo + 1
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    cols = np.repeat(m, counts)
-    rows = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - lo, counts)
-    band = csc_matrix((binom.pmf(rows, cols, eta), rows, indptr), shape=(size, size))
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)  # csc_matrix would copy int64 to int32
+    c0 = 0
+    while c0 < size:
+        c1 = int(np.searchsorted(indptr, indptr[c0] + _BLOCK_CELLS, side="right")) - 1
+        c1 = min(max(c1, c0 + 1), size)
+        cells = slice(indptr[c0], indptr[c1])
+        cols = np.repeat(m[c0:c1], counts[c0:c1])
+        rows = np.arange(indptr[c0], indptr[c1]) - np.repeat(indptr[c0:c1] - lo[c0:c1], counts[c0:c1])
+        indices[cells] = rows
+        data[cells] = _binom_pmf(rows, cols, eta)
+        c0 = c1
+    band = csc_matrix((data, indices, indptr), shape=(size, size))
     return band @ v
 
 

@@ -4,8 +4,10 @@ Probe states are built as S(zeta) D(alpha) |0>, i.e. a coherent seed that is
 squeezed afterwards.  Construction goes through the equivalent
 displaced-squeezed form D(beta) S(zeta) |0> with beta = alpha cosh r +
 conj(alpha) e^{i phi_r} sinh r, so that every intermediate state has a mean
-photon number bounded by the final one.  Both unitaries are applied as the
-action of the matrix exponential of their truncated generators.
+photon number bounded by the final one.  Both unitaries are the exact
+exponentials of their truncated generators, each a diagonal phase similarity
+of a real symmetric tridiagonal matrix, applied through that matrix's
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import eigh_tridiagonal
 
 from .exceptions import CutoffGrowthWarning, TruncationError
 
@@ -27,6 +28,10 @@ CUTOFF_CAP_ENV = "TPA_CUTOFF_MAX"
 DEFAULT_CUTOFF_CAP = 4096
 
 _SQRT2 = math.sqrt(2.0)
+# Top-band population below which tail_estimate reads no tail at all: the
+# probe's amplitudes carry a roundoff floor near 1e-15 (populations ~1e-30
+# per bin), which would otherwise read as growth towards the cutoff.
+_TAIL_FLOOR = 1e-20
 
 
 def cutoff_cap(explicit: int | None = None) -> int:
@@ -149,47 +154,54 @@ def ladder_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def _squeeze_generator(r: float, phi_r: float, dim: int):
-    """Sparse (zeta/2) a_dag^2 - (zeta*/2) a^2 on the truncated space."""
-    zeta = r * cmath.exp(1j * phi_r)
-    n = np.arange(dim - 2, dtype=float)
-    band = np.sqrt((n + 1.0) * (n + 2.0))  # <n+2| a_dag^2 |n>
-    return diags(
-        [0.5 * zeta * band, -0.5 * np.conj(zeta) * band],
-        offsets=[-2, 2],
-        shape=(dim, dim),
-        format="csr",
-        dtype=complex,
-    )
+def _phased_exp(off: np.ndarray, s: float, d: complex, x: np.ndarray) -> np.ndarray:
+    """D exp(i s T) D* x for D = diag(d^k), |d| = 1, and T real symmetric tridiagonal.
 
-
-def _displacement_generator(beta: complex, dim: int):
-    """Sparse beta a_dag - beta* a on the truncated space."""
-    n = np.arange(dim - 1, dtype=float)
-    band = np.sqrt(n + 1.0)  # <n+1| a_dag |n>
-    return diags(
-        [beta * band, -np.conj(beta) * band],
-        offsets=[-1, 1],
-        shape=(dim, dim),
-        format="csr",
-        dtype=complex,
-    )
+    T has a zero diagonal and off-diagonal ``off``.  One MRRR eigendecomposition
+    T = V diag(lam) V^T gives exp(i s T) = V diag(e^{i s lam}) V^T (Moler & Van
+    Loan, SIAM Rev. 45, 3 (2003)); each product with V is one real
+    (N x N)(N x 2) multiply on the stacked real and imaginary parts.
+    """
+    lam, vec = eigh_tridiagonal(np.zeros(x.size), off, lapack_driver="stemr")
+    phase = d ** np.arange(x.size)
+    y = np.conj(phase) * x
+    w = vec.T @ np.column_stack([y.real, y.imag])
+    z = (w[:, 0] + 1j * w[:, 1]) * np.exp(1j * s * lam)
+    u = vec @ np.column_stack([z.real, z.imag])
+    return phase * (u[:, 0] + 1j * u[:, 1])
 
 
 def apply_squeeze(state: StateVector, r: float, phi_r: float = 0.0) -> StateVector:
-    """Apply S(zeta) = exp((zeta/2) a_dag^2 - (zeta*/2) a^2) by matrix-exponential action."""
+    """Apply S(zeta) = exp((zeta/2) a_dag^2 - (zeta*/2) a^2), zeta = r e^{i phi_r}.
+
+    On the Fock states n = 2k + p of parity p the truncated generator is
+    D (i r K_p) D* with D = diag((-i e^{i phi_r})^k) and K_p real tridiagonal
+    with off-diagonal sqrt((2k+p+1)(2k+p+2))/2; a parity the input leaves
+    empty stays empty, so a vacuum seed needs only the even half.
+    """
     if r == 0.0:
         return StateVector(state.amp.copy())
-    gen = _squeeze_generator(abs(r), phi_r if r > 0 else phi_r + math.pi, state.dim)
-    return StateVector(expm_multiply(gen, state.amp))
+    d = -1j * cmath.exp(1j * phi_r)
+    out = np.zeros(state.dim, dtype=complex)
+    for p in (0, 1):
+        x = state.amp[p::2]
+        if not x.any():
+            continue
+        n = np.arange(p, state.dim - 2, 2, dtype=float)
+        out[p::2] = _phased_exp(0.5 * np.sqrt((n + 1.0) * (n + 2.0)), r, d, x)
+    return StateVector(out)
 
 
 def apply_displacement(state: StateVector, beta: complex) -> StateVector:
-    """Apply D(beta) = exp(beta a_dag - beta* a) by matrix-exponential action."""
+    """Apply D(beta) = exp(beta a_dag - beta* a).
+
+    The truncated generator is D (i |beta| J) D* with D = diag((-i e^{i arg beta})^n)
+    and J real tridiagonal with off-diagonal sqrt(n+1).
+    """
     if beta == 0:
         return StateVector(state.amp.copy())
-    gen = _displacement_generator(beta, state.dim)
-    return StateVector(expm_multiply(gen, state.amp))
+    d = -1j * cmath.exp(1j * cmath.phase(beta))
+    return StateVector(_phased_exp(np.sqrt(np.arange(1.0, state.dim)), abs(beta), d, state.amp))
 
 
 def _build_probe(spec: ProbeSpec, n_max: int) -> np.ndarray:
@@ -220,7 +232,8 @@ def tail_estimate(populations: np.ndarray) -> float:
     """Conservative estimate of the population truncated beyond the cutoff.
 
     Uses geometric extrapolation of the two top index bands; returns inf when
-    the populations still grow towards the cutoff.
+    the populations still grow towards the cutoff, and 0 when the top band
+    sums to at most ``_TAIL_FLOOR`` (1e-20).
     """
     dim = populations.size
     w = max(16, dim // 32)
@@ -228,7 +241,7 @@ def tail_estimate(populations: np.ndarray) -> float:
         w = max(1, dim // 4)
     b1 = float(populations[-2 * w : -w].sum())
     b2 = float(populations[-w:].sum())
-    if b2 <= 0.0:
+    if b2 <= _TAIL_FLOOR:
         return 0.0
     if b1 <= b2:
         return math.inf

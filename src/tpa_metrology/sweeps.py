@@ -46,7 +46,9 @@ _INPUT_RULES = {
     "alpha": _NONNEGATIVE,
     "phi": (lambda x: True, "a finite number"),
     "eta": (lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
-    "tail_tol": (lambda x: x > 0.0, "a finite number > 0"),
+    # About 99 times the 1e-20 band floor below which fock.tail_estimate reads
+    # no tail, so that floor never decides a cutoff.
+    "tail_tol": (lambda x: x >= 1e-18, "a finite number >= 1e-18"),
 }
 # Keys a sweep config file may set, by section; any other key is rejected.
 _CONFIG_KEYS = {

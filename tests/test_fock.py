@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from tpa_metrology.exceptions import TruncationError
@@ -13,7 +16,10 @@ from tpa_metrology.fock import (
     ladder_matrices,
     make_probe_state,
     moments,
+    tail_estimate,
 )
+
+import expm_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -152,6 +158,51 @@ class TestMakeProbeState:
         state = make_probe_state(ProbeSpec.coherent(1.0, 0.6), 96)
         roundtrip = apply_squeeze(apply_squeeze(state, 0.9, 0.4), -0.9, 0.4)
         assert state.fidelity(roundtrip) > 1.0 - 1e-10
+
+
+_ANGLES = st.floats(0.0, 2.0 * math.pi)
+_AMPLITUDES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+_STATES = st.integers(2, 80).flatmap(lambda dim: hnp.arrays(np.complex128, dim, elements=_AMPLITUDES))
+
+
+class TestUnitaries:
+    @settings(deadline=None)
+    @given(x=_STATES, r=st.floats(-3.0, 3.0), phi_r=_ANGLES, beta_abs=st.floats(0.0, 6.0), arg_beta=_ANGLES)
+    def test_match_dense_expm_of_the_same_generator(self, x, r, phi_r, beta_abs, arg_beta):
+        # a general input occupies both parities, as validate's squeeze of a
+        # coherent state does; 1e-300 covers roundoff in subnormal amplitudes
+        bound = 1e-12 * math.sqrt(x.size) * np.max(np.abs(x)) + 1e-300
+        squeezed = apply_squeeze(StateVector(x), r, phi_r).amp
+        oracle = expm(expm_oracle.squeeze_generator(r, phi_r, x.size).toarray()) @ x
+        assert np.max(np.abs(squeezed - oracle)) <= bound
+        beta = beta_abs * np.exp(1j * arg_beta)
+        displaced = apply_displacement(StateVector(x), beta).amp
+        oracle = expm(expm_oracle.displacement_generator(beta, x.size).toarray()) @ x
+        assert np.max(np.abs(displaced - oracle)) <= bound
+
+    @pytest.mark.parametrize(
+        "spec, cutoff",
+        [
+            (ProbeSpec.squeezed_vacuum(math.asinh(math.sqrt(50.0))), 2000),
+            (ProbeSpec.coherent(math.sqrt(50.0), math.pi / 2.0), 251),
+        ],
+        ids=["sv", "coherent"],
+    )
+    def test_probe_matches_expm_multiply_at_fifty_photons(self, spec, cutoff):
+        # the squeeze-scan endpoints at <n> = 50 and tail_tol 1e-8: the cutoff
+        # the expm_multiply route chose, and the same truncated state
+        state = make_probe_state(spec, tail_tol=1e-8)
+        assert state.n_max == cutoff
+        assert np.max(np.abs(state.amp - expm_oracle.build_probe(spec, cutoff))) < 5e-12
+
+
+class TestTailEstimate:
+    def test_growing_band_below_floor_reads_zero(self):
+        # roundoff-level populations that grow towards the cutoff are no tail
+        pops = np.geomspace(1e-34, 1e-23, 256)
+        assert pops[-16:].sum() <= 1e-20
+        assert tail_estimate(pops) == 0.0
+        assert tail_estimate(pops * 1e4) == math.inf
 
 
 class TestMoments:

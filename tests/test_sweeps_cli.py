@@ -279,6 +279,8 @@ class TestCli:
               "--tail-tol", "-1"], "--tail-tol"),
             (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "1",
               "--tail-tol", "nan"], "--tail-tol"),
+            (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "1",
+              "--tail-tol", "1e-19"], "--tail-tol"),
             (["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "4",
               "--r", "0.1"], "nbar, r"),
             (["sensitivity", "--state", "coherent", "--observable", "photon_number", "--nbar", "4",
@@ -297,6 +299,7 @@ class TestCli:
             ("state_family = sv\naxis = eta\nvalues = 0.5", "nbar = -1", "nbar"),
             ("state_family = sv\naxis = nbar\nvalues = 1\ntail_tol = -1", "", "tail_tol"),
             ("state_family = sv\naxis = nbar\nvalues = 1\ntail_tol = nan", "", "tail_tol"),
+            ("state_family = sv\naxis = nbar\nvalues = 1\ntail_tol = 1e-19", "", "tail_tol"),
             ("state_family = sv\naxis = nbar\nvalues = 4", "r = 0.1", "nbar, r"),
             ("state_family = coherent\naxis = eta\nvalues = 0.5", "", "nbar, alpha"),
             ("state_family = sv\naxis = eta\nvalues = 0.5 x", "nbar = 1", "eta"),
@@ -328,6 +331,12 @@ class TestCli:
         argv = ["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "1"]
         assert main(argv) == 1
         assert "TPA_CUTOFF_MAX" in capsys.readouterr().err
+
+    def test_smallest_normal_eta_does_not_raise(self, capsys):
+        # binom.pmf raises OverflowError at this eta inside the thinning band
+        argv = ["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "1",
+                "--eta", "2.2250738585072014e-308"]
+        assert main(argv) in (0, 1)
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     @pytest.mark.parametrize(

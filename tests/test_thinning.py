@@ -22,7 +22,11 @@ def dense_thin(vec, eta, chunk=1024):
     out = np.empty(v.shape)
     for start in range(0, size, chunk):
         rows = np.arange(start, min(start + chunk, size))
-        out[rows] = binom.pmf(rows[:, None], m[None, :], eta) @ v
+        try:
+            weights = binom.pmf(rows[:, None], m[None, :], eta)
+        except OverflowError:  # eta near the smallest normal double
+            weights = np.exp(binom.logpmf(rows[:, None], m[None, :], eta))
+        out[rows] = weights @ v
     return out
 
 
@@ -40,6 +44,8 @@ _ETAS = st.one_of(st.sampled_from([0.0, 1e-6, 1.0 - 1e-6, 1.0]), st.floats(0.0, 
 # equal terms, in different orders; these two sizes need more than 1e-14.
 @example(v=np.full(500, 880116.41), eta=0.0)
 @example(v=np.full(600, 880116.41), eta=0.0)
+# binom.pmf overflows (OverflowError) at this eta; logpmf does not.
+@example(v=np.ones(5), eta=2.2250738585072014e-308)
 def test_banded_matches_dense(v, eta):
     banded = apply_binomial_loss(v, eta)
     assert banded.shape == v.shape
