@@ -67,6 +67,14 @@ def population_derivative(pmf: np.ndarray) -> np.ndarray:
     return out
 
 
+def _binom_pmf(n: np.ndarray, m: np.ndarray, eta: float) -> np.ndarray:
+    """binom.pmf(n, m, eta), through logpmf where pmf overflows (eta near 1e-308)."""
+    try:
+        return binom.pmf(n, m, eta)
+    except OverflowError:
+        return np.exp(binom.logpmf(n, m, eta))
+
+
 def loss_channel(rho: np.ndarray, loss: LossSpec) -> np.ndarray:
     """Pure-loss channel with transmissivity eta via the standard Kraus family.
 
@@ -83,17 +91,9 @@ def loss_channel(rho: np.ndarray, loss: LossSpec) -> np.ndarray:
     for k in range(dim):
         keep = dim - k
         jj = j[:keep]
-        c = np.sqrt(binom.pmf(jj, jj + k, eta))
+        c = np.sqrt(_binom_pmf(jj, jj + k, eta))
         out[:keep, :keep] += (c[:, None] * c[None, :]) * mat[k:, k:]
     return out
-
-
-def _binom_pmf(n: np.ndarray, m: np.ndarray, eta: float) -> np.ndarray:
-    """binom.pmf(n, m, eta), through logpmf where pmf overflows (eta near 1e-308)."""
-    try:
-        return binom.pmf(n, m, eta)
-    except OverflowError:
-        return np.exp(binom.logpmf(n, m, eta))
 
 
 def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from . import __version__
 from .channels import LossSpec
 from .exceptions import GridError, TruncationError
 from .fock import ProbeSpec, make_probe_state
-from .metrology import OBSERVABLES, fisher_from_state, sensitivity_analytic, sensitivity_numeric
+from .metrology import OBSERVABLES, fisher_from_state, sensitivity_analytic, sensitivity_from_state
 from .sweeps import (
     STATE_FAMILIES,
     SweepConfig,
@@ -79,42 +79,27 @@ def _probe_from_args(args) -> tuple[ProbeSpec, LossSpec]:
     return resolve_point(args.state, {k: v for k, v in given.items() if v is not None})
 
 
-def _cmd_sensitivity(args) -> int:
-    spec, loss = _probe_from_args(args)
-
-    def render(res):
-        if res.diverges:
-            return {"diverges": True}
-        return {"diverges": False, "delta_eps_sq": res.delta_eps_sq, "inverse": res.inverse()}
-
-    out = {
-        "probe": {"r": spec.r, "phi_r": spec.phi_r, "alpha_abs": spec.alpha_abs, "phi": spec.phi},
-        "eta": loss.eta,
-        "observable": args.observable,
-        "mean_n_incident": spec.mean_photon_number(),
-        "numeric": render(sensitivity_numeric(spec, loss, args.observable, tail_tol=args.tail_tol)),
-        "analytic": render(sensitivity_analytic(spec, loss, args.observable)),
-    }
-    json.dump(out, sys.stdout, indent=2)
-    print()
-    return EXIT_OK
-
-
-def _cmd_fisher(args) -> int:
+def _cmd_point(args) -> int:
+    """``fisher`` or ``sensitivity``: build the probe once and evaluate it as JSON."""
     spec, loss = _probe_from_args(args)
     state = make_probe_state(spec, tail_tol=args.tail_tol)
-    fi = fisher_from_state(state, loss, args.observable)
     out = {
         "probe": {"r": spec.r, "phi_r": spec.phi_r, "alpha_abs": spec.alpha_abs, "phi": spec.phi},
         "eta": loss.eta,
         "observable": args.observable,
         "mean_n_incident": spec.mean_photon_number(),
-        "fi": fi.fi,
-        "ill_conditioned_bins": fi.ill_bins,
-        "cutoff_used": state.n_max,
     }
-    json.dump(out, sys.stdout, indent=2)
-    print()
+    if args.command == "fisher":
+        fi = fisher_from_state(state, loss, args.observable)
+        out.update(fi=fi.fi, ill_conditioned_bins=fi.ill_bins, cutoff_used=state.n_max)
+    else:
+        for source, res in (("numeric", sensitivity_from_state(state, loss, args.observable)),
+                            ("analytic", sensitivity_analytic(spec, loss, args.observable))):
+            out[source] = {"diverges": res.diverges}
+            if not res.diverges:
+                out[source].update(delta_eps_sq=res.delta_eps_sq, inverse=res.inverse())
+    # allow_nan=False: a NaN or infinity would make the output invalid JSON
+    print(json.dumps(out, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -131,40 +116,21 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_phase_scan(args) -> int:
-    if args.points < 2:
-        raise UsageError("--points must be at least 2")
-    values = [i * math.pi / (args.points - 1) for i in range(args.points)]
-    # strictly increasing guaranteed by construction
+def _cmd_scan(args) -> int:
+    """``phase-scan`` (phi from 0 to pi) or ``squeeze-scan`` (n_r from 0 to nbar) as a sweep."""
+    if args.points < args.min_points:
+        raise UsageError(f"--points must be at least {args.min_points}")
+    top = math.pi if args.axis == "phi" else args.nbar
     config = SweepConfig(
         state_family="squeezed_coherent",
         observable=args.observable,
-        sweep_axis="phi",
-        axis_values=tuple(values),
-        fixed_params={"nbar": args.nbar, "r": args.r, "eta": args.eta},
+        sweep_axis=args.axis,
+        axis_values=tuple(top * i / (args.points - 1) for i in range(args.points)),
+        fixed_params={key: getattr(args, key) for key in args.fixed},
         output_path=args.output,
         tail_tol=args.tail_tol,
     )
-    path = run_sweep(config)
-    print(path)
-    return EXIT_OK
-
-
-def _cmd_squeeze_scan(args) -> int:
-    if args.points < 3:
-        raise UsageError("--points must be at least 3")
-    values = [args.nbar * i / (args.points - 1) for i in range(args.points)]
-    config = SweepConfig(
-        state_family="squeezed_coherent",
-        observable="photon_number",
-        sweep_axis="n_r",
-        axis_values=tuple(values),
-        fixed_params={"nbar": args.nbar, "eta": args.eta, "phi": args.phi},
-        output_path=args.output,
-        tail_tol=args.tail_tol,
-    )
-    path = run_sweep(config)
-    print(path)
+    print(run_sweep(config))
     return EXIT_OK
 
 
@@ -188,13 +154,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"tpa-metrology {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sensitivity", help="error-propagation sensitivity at one point")
-    _add_state_flags(p)
-    p.set_defaults(func=_cmd_sensitivity)
-
-    p = sub.add_parser("fisher", help="classical Fisher information at one point")
-    _add_state_flags(p)
-    p.set_defaults(func=_cmd_fisher)
+    for name, text in (("sensitivity", "error-propagation sensitivity at one point"),
+                       ("fisher", "classical Fisher information at one point")):
+        p = sub.add_parser(name, help=text)
+        _add_state_flags(p)
+        p.set_defaults(func=_cmd_point)
 
     p = sub.add_parser("sweep", help="run a config-file sweep and write CSV")
     p.add_argument("config")
@@ -210,7 +174,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--output", default="phase_scan.csv")
     p.add_argument("--tail-tol", type=_checked("tail_tol"), default=1e-10)
-    p.set_defaults(func=_cmd_phase_scan)
+    p.set_defaults(func=_cmd_scan, axis="phi", min_points=2, fixed=("nbar", "r", "eta"))
 
     p = sub.add_parser(
         "squeeze-scan", help="photon-counting FI vs squeezing fraction at fixed <n>"
@@ -221,7 +185,8 @@ def build_parser() -> _Parser:
     p.add_argument("--points", type=int, default=33)
     p.add_argument("--output", default="squeeze_scan.csv")
     p.add_argument("--tail-tol", type=_checked("tail_tol"), default=1e-8)
-    p.set_defaults(func=_cmd_squeeze_scan)
+    p.set_defaults(func=_cmd_scan, axis="n_r", min_points=3, fixed=("nbar", "eta", "phi"),
+                   observable="photon_number")
 
     p = sub.add_parser("validate", help="run the numerical property suite")
     p.add_argument(

@@ -230,12 +230,10 @@ def quad_pdf_pair_from_state(
 
     p_det = _clip_roundoff_negative(p_det)
     total = float(np.trapezoid(p_det, dx=dq))
-    if abs(total - 1.0) > 1e-6:
-        raise GridError(
-            f"quadrature grid too narrow: density integrates to {total!r} (tail mass > 1e-6)"
-        )
+    if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
+        raise GridError(f"quadrature density integrates to {total!r}, expected 1 +- 1e-6")
     dtotal = float(np.trapezoid(dp_det, dx=dq))
-    if abs(dtotal) > 1e-6:
+    if not abs(dtotal) <= 1e-6:
         raise GridError(f"derivative density integrates to {dtotal!r}, expected 0 +- 1e-6")
     return QuadPdf(x, p_det, dq), QuadPdf(x, dp_det, dq)
 

@@ -6,7 +6,8 @@ class TruncationError(ValueError):
 
 
 class GridError(ValueError):
-    """Raised when a quadrature grid is too narrow to hold the distribution."""
+    """Raised when a detected distribution is not resolved: a quadrature grid too
+    narrow to hold it, or a non-finite Fisher information or sensitivity."""
 
 
 class IllConditionedBinWarning(UserWarning):

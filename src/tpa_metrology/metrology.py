@@ -24,7 +24,7 @@ from .distributions import (
     quad_pdf_pair_from_state,
     sv_pmf_closed_form,
 )
-from .exceptions import IllConditionedBinWarning
+from .exceptions import GridError, IllConditionedBinWarning
 from .fock import DEFAULT_TAIL_TOL, ProbeSpec, StateVector, make_probe_state
 
 OBSERVABLES = ("photon_number", "quad_q", "quad_p")
@@ -65,8 +65,16 @@ def _check_observable(observable: str) -> None:
         raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
 
 
-def _diverged(observable: str, source: str) -> SensitivityResult:
-    return SensitivityResult(None, observable, source, diverges=True)
+def _error_propagation(var_det: float, slope: float, observable: str, source: str) -> SensitivityResult:
+    """Var(O)/slope^2; a slope whose square underflows to 0 diverges like a zero slope."""
+    if slope**2 == 0.0:
+        return SensitivityResult(None, observable, source, diverges=True)
+    return SensitivityResult(var_det / slope**2, observable, source)
+
+
+def _finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise GridError(f"{what} is {value!r}: the detected distribution is not resolved")
 
 
 # ---------------------------------------------------------------------------
@@ -150,31 +158,41 @@ def sensitivity_analytic(spec: ProbeSpec, loss: LossSpec, observable: str) -> Se
         var_det, slope = _analytic_photon_number(spec, loss.eta)
     else:
         var_det, slope = _analytic_quadrature(spec, loss.eta, observable[-1])
-    if slope == 0.0:
-        return _diverged(observable, "analytic")
-    return SensitivityResult(var_det / slope**2, observable, "analytic")
+    return _error_propagation(var_det, slope, observable, "analytic")
+
+
+def _detected_pair(state: StateVector, loss: LossSpec, observable: str) -> tuple:
+    """(distribution, d/d eps) of one observable after loss: a pmf pair or a q/p density pair."""
+    _check_observable(observable)
+    if observable == "photon_number":
+        return pmf_pair_from_state(state, loss)
+    return quad_pdf_pair_from_state(state, loss, observable[-1])
+
+
+def sensitivity_from_state(state: StateVector, loss: LossSpec, observable: str) -> SensitivityResult:
+    """Error-propagation sensitivity of an already-built probe state, one observable after loss."""
+    dist, deriv = _detected_pair(state, loss, observable)
+    if isinstance(dist, Pmf):
+        n = np.arange(dist.p.size, dtype=float)
+        slope = float(np.dot(n, deriv))
+        slope_mass = float(np.dot(n, np.abs(deriv)))
+    else:
+        weighted = dist.grid * deriv.density
+        slope = float(np.trapezoid(weighted, dx=dist.dq))
+        slope_mass = float(np.trapezoid(np.abs(weighted), dx=dist.dq))
+    if slope_mass == 0.0 or abs(slope) < _SLOPE_CANCEL * slope_mass:
+        slope = 0.0  # cancelled to roundoff
+    res = _error_propagation(dist.var(), slope, observable, "numeric")
+    if not res.diverges:
+        _finite(res.delta_eps_sq, "numeric sensitivity")
+    return res
 
 
 def sensitivity_numeric(
     spec: ProbeSpec, loss: LossSpec, observable: str, *, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> SensitivityResult:
     """Error-propagation sensitivity from the truncated-Fock measurement distributions."""
-    _check_observable(observable)
-    state = make_probe_state(spec, tail_tol=tail_tol)
-    if observable == "photon_number":
-        pmf, dpmf = pmf_pair_from_state(state, loss)
-        n = np.arange(pmf.p.size, dtype=float)
-        slope = float(np.dot(n, dpmf))
-        slope_mass = float(np.dot(n, np.abs(dpmf)))
-        var_det = pmf.var()
-    else:
-        pdf, dpdf = quad_pdf_pair_from_state(state, loss, observable[-1])
-        slope = float(np.trapezoid(pdf.grid * dpdf.density, dx=pdf.dq))
-        slope_mass = float(np.trapezoid(np.abs(pdf.grid * dpdf.density), dx=pdf.dq))
-        var_det = pdf.var()
-    if slope_mass == 0.0 or abs(slope) < _SLOPE_CANCEL * slope_mass:
-        return _diverged(observable, "numeric")
-    return SensitivityResult(var_det / slope**2, observable, "numeric")
+    return sensitivity_from_state(make_probe_state(spec, tail_tol=tail_tol), loss, observable)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +238,13 @@ def fisher_continuous(pdf: QuadPdf, dpdf: QuadPdf, observable: str = "quad_q") -
 
 def fisher_from_state(state: StateVector, loss: LossSpec, observable: str) -> FisherResult:
     """FI of an already-built probe state for one observable after loss."""
-    _check_observable(observable)
-    if observable == "photon_number":
-        pmf, dpmf = pmf_pair_from_state(state, loss)
-        return fisher_discrete(pmf, dpmf)
-    pdf, dpdf = quad_pdf_pair_from_state(state, loss, observable[-1])
-    return fisher_continuous(pdf, dpdf, observable=observable)
+    dist, deriv = _detected_pair(state, loss, observable)
+    if isinstance(dist, Pmf):
+        res = fisher_discrete(dist, deriv)
+    else:
+        res = fisher_continuous(dist, deriv, observable=observable)
+    _finite(res.fi, "Fisher information")
+    return res
 
 
 def fisher_photon_counting(

@@ -33,8 +33,10 @@ from .distributions import (
 )
 from .fock import ProbeSpec, apply_squeeze, make_probe_state, moments
 from .metrology import (
+    fisher_from_state,
     fisher_photon_counting,
     sensitivity_analytic,
+    sensitivity_from_state,
     sensitivity_numeric,
 )
 from .sweeps import SweepConfig, run_sweep
@@ -277,15 +279,15 @@ def check_sv_pmf_closed_form(ctx: _Ctx) -> str:
 def check_convolution_vs_kraus(ctx: _Ctx) -> str:
     if not ctx.loss_checks_apply:
         raise SkipCheck("not applicable at eta = 1")
+    # truncation artifacts in the derivative density scale with the actual
+    # truncated tail; keep it well under the 1e-6 contract
+    state = make_probe_state(ProbeSpec(r=0.7, alpha_abs=1.0, phi=0.6), 64, tail_tol=1e-6)
+    rho = state.to_density_matrix()
     worst = 0.0
     for eta in ctx.eta_values:
         for which in ("q", "p"):
-            spec = ProbeSpec(r=0.7, alpha_abs=1.0, phi=0.6)
-            # truncation artifacts in the derivative density scale with the
-            # actual truncated tail; keep it well under the 1e-6 contract
-            state = make_probe_state(spec, 64, tail_tol=1e-6)
             pdf, _ = quad_pdf_pair_from_state(state, LossSpec(eta), which)
-            lossy = loss_channel(state.to_density_matrix(), LossSpec(eta))
+            lossy = loss_channel(rho, LossSpec(eta))
             direct = quad_pdf_from_density(lossy, pdf.grid, which)
             worst = max(worst, float(np.max(np.abs(direct - pdf.density))))
     assert worst < 1e-8, f"convolution vs Kraus L-inf distance {worst:.2e}"
@@ -293,11 +295,11 @@ def check_convolution_vs_kraus(ctx: _Ctx) -> str:
 
 
 def check_pdf_moment_consistency(ctx: _Ctx) -> str:
+    state = make_probe_state(ProbeSpec(r=0.9, alpha_abs=1.4, phi=0.8))
+    rho = state.to_density_matrix()
     worst = 0.0
     for eta in ctx.eta_values:
-        spec = ProbeSpec(r=0.9, alpha_abs=1.4, phi=0.8)
-        state = make_probe_state(spec)
-        mom = moments(loss_channel(state.to_density_matrix(), LossSpec(eta)))
+        mom = moments(loss_channel(rho, LossSpec(eta)))
         for which in ("q", "p"):
             pdf, _ = quad_pdf_pair_from_state(state, LossSpec(eta), which)
             mean_ref = mom.mean_q if which == "q" else mom.mean_p
@@ -308,11 +310,10 @@ def check_pdf_moment_consistency(ctx: _Ctx) -> str:
 
 
 def check_pdf_derivative_consistency(ctx: _Ctx) -> str:
+    state = make_probe_state(ProbeSpec(r=0.8, alpha_abs=1.1, phi=0.3))
+    drho = tpa_generator(state.to_density_matrix())
     worst = 0.0
     for eta in ctx.eta_values:
-        spec = ProbeSpec(r=0.8, alpha_abs=1.1, phi=0.3)
-        state = make_probe_state(spec)
-        drho = tpa_generator(state.to_density_matrix())
         drho_lossy = loss_channel(drho, LossSpec(eta)) if eta < 1.0 else drho
         dim = drho_lossy.shape[0]
         n = np.arange(dim, dtype=float)
@@ -353,14 +354,14 @@ def check_cramer_rao_ordering(ctx: _Ctx) -> str:
 def check_analytic_numeric_agreement(ctx: _Ctx) -> str:
     worst = 0.0
     count = 0
-    for r, a, phi, eta in itertools.product(
-        (0.0, 0.5, 1.0, 1.5), (0.0, 1.0, 3.0), (0.0, math.pi / 4, math.pi / 2), ctx.eta_values
-    ):
+    for r, a, phi in itertools.product((0.0, 0.5, 1.0, 1.5), (0.0, 1.0, 3.0),
+                                       (0.0, math.pi / 4, math.pi / 2)):
         spec = ProbeSpec(r=r, alpha_abs=a, phi=phi)
-        loss = LossSpec(eta)
-        for obs in ("photon_number", "quad_q", "quad_p"):
+        state = make_probe_state(spec)
+        for eta, obs in itertools.product(ctx.eta_values, ("photon_number", "quad_q", "quad_p")):
+            loss = LossSpec(eta)
             ana = sensitivity_analytic(spec, loss, obs)
-            num = sensitivity_numeric(spec, loss, obs)
+            num = sensitivity_from_state(state, loss, obs)
             assert ana.diverges == num.diverges, f"divergence mismatch at {spec}, {eta}, {obs}"
             if not ana.diverges:
                 rel = abs(ana.delta_eps_sq - num.delta_eps_sq) / ana.delta_eps_sq
@@ -380,12 +381,9 @@ def check_sv_eta_cancellation(ctx: _Ctx) -> str:
         bound = 3.0 / (2.0 * 0.2 * n_r)
         assert rel < bound, f"eta-cancellation {rel:.3f} >= bound {bound:.3f} at n_r={n_r}"
         details.append(f"n_r={n_r:g}: {rel:.4f} < {bound:.4f}")
-    num = sensitivity_numeric(
-        ProbeSpec.squeezed_vacuum(math.asinh(5.0)), LossSpec(0.2), "photon_number"
-    ).delta_eps_sq
-    ana = sensitivity_analytic(
-        ProbeSpec.squeezed_vacuum(math.asinh(5.0)), LossSpec(0.2), "photon_number"
-    ).delta_eps_sq
+    spec = ProbeSpec.squeezed_vacuum(math.asinh(5.0))
+    num = sensitivity_numeric(spec, LossSpec(0.2), "photon_number").delta_eps_sq
+    ana = sensitivity_analytic(spec, LossSpec(0.2), "photon_number").delta_eps_sq
     assert abs(num - ana) / ana < 1e-6
     return "; ".join(details)
 
@@ -393,11 +391,11 @@ def check_sv_eta_cancellation(ctx: _Ctx) -> str:
 def check_coherent_fi_loss_linearity(ctx: _Ctx) -> str:
     if not ctx.loss_checks_apply:
         raise SkipCheck("not applicable at eta = 1")
-    spec = ProbeSpec.coherent(math.sqrt(10.0))
-    fi_ideal = fisher_photon_counting(spec, LossSpec(1.0)).fi
+    state = make_probe_state(ProbeSpec.coherent(math.sqrt(10.0)))
+    fi_ideal = fisher_from_state(state, LossSpec(1.0), "photon_number").fi
     details = []
     for eta in (0.1, 0.9):
-        ratio = fisher_photon_counting(spec, LossSpec(eta)).fi / fi_ideal
+        ratio = fisher_from_state(state, LossSpec(eta), "photon_number").fi / fi_ideal
         assert abs(ratio - eta) < 0.01, f"FI(eta)/FI(1) = {ratio:.4f} vs eta = {eta}"
         details.append(f"eta={eta}: ratio={ratio:.4f}")
     return "; ".join(details)

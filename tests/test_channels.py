@@ -93,7 +93,8 @@ class TestLossChannel:
 
     def test_trace_preserved_on_random_states(self):
         rng = np.random.default_rng(11)
-        for eta in (0.0, 0.2, 0.8):
+        # binom.pmf overflows at the smallest normal eta; the Kraus weights must not
+        for eta in (0.0, 0.2, 0.8, 2.2250738585072014e-308):
             g = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real

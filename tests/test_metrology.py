@@ -17,6 +17,7 @@ from tpa_metrology.metrology import (
     fisher_ratio_coh_over_sv,
     limit_table,
     sensitivity_analytic,
+    sensitivity_from_state,
     sensitivity_numeric,
     squeeze_scan,
 )
@@ -84,6 +85,13 @@ class TestSensitivity:
             ana = sensitivity_analytic(spec, LossSpec(eta), obs)
             num = sensitivity_numeric(spec, LossSpec(eta), obs)
             assert num.delta_eps_sq == pytest.approx(ana.delta_eps_sq, rel=1e-6)
+
+    @pytest.mark.parametrize("obs", ["photon_number", "quad_q", "quad_p"])
+    def test_from_state_is_the_numeric_route(self, obs):
+        spec, loss = ProbeSpec(r=0.5, alpha_abs=1.0, phi=0.3), LossSpec(0.7)
+        assert sensitivity_from_state(make_probe_state(spec), loss, obs) == sensitivity_numeric(
+            spec, loss, obs
+        )
 
     def test_invalid_observable(self):
         with pytest.raises(ValueError):

@@ -49,9 +49,11 @@ SURFACE = {
         "amplitude_for_mean_n",
         "fisher_continuous",
         "fisher_discrete",
+        "fisher_from_state",
         "fisher_photon_counting",
         "make_probe_state",
         "sensitivity_analytic",
+        "sensitivity_from_state",
         "sensitivity_numeric",
     ),
     "tpa_metrology.sweeps": ("run_sweep",),

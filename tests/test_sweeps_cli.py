@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tpa_metrology.cli import main
+from tpa_metrology.metrology import OBSERVABLES
 from tpa_metrology.sweeps import SweepConfig, load_sweep_config, resolve_point, run_sweep
 
 CONFIG_TEXT = """\
@@ -218,6 +219,13 @@ _FISHER_BASE = ["fisher", "--state", "squeezed_coherent", "--observable", "photo
 _STATE_FLAGS = ("--r", "--alpha", "--phi", "--eta", "--nbar", "--tail-tol")
 
 
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCli:
     def test_sensitivity_json(self, capsys):
         rc = main(
@@ -336,7 +344,32 @@ class TestCli:
         # binom.pmf raises OverflowError at this eta inside the thinning band
         argv = ["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "1",
                 "--eta", "2.2250738585072014e-308"]
-        assert main(argv) in (0, 1)
+        assert main(argv) == 0
+        assert math.isfinite(_strict_json(capsys.readouterr().out)["fi"])
+
+    @pytest.mark.parametrize("eta", ["5e-324", "2.2250738585072014e-308"])
+    @pytest.mark.parametrize("observable", OBSERVABLES)
+    @pytest.mark.parametrize("command", ["fisher", "sensitivity"])
+    def test_tiny_eta_gives_json_or_exit_two(self, command, observable, eta, capsys):
+        # a NaN density (Hermite functions overflow at x / sqrt(eta)) must not
+        # print as "NaN", and a slope whose square underflows reads as divergent
+        for state in ("sv", "coherent"):
+            rc = main([command, "--state", state, "--observable", observable, "--nbar", "1",
+                       "--eta", eta])
+            out, err = capsys.readouterr()
+            assert rc in (0, 2)
+            if rc == 0:
+                _strict_json(out)
+            else:
+                assert "numerical contract violation" in err
+
+    def test_underflowing_slope_sweeps_as_divergent(self, tmp_path, capsys):
+        path, out = tmp_path / "tiny.cfg", tmp_path / "tiny.csv"
+        path.write_text("[sweep]\nstate_family = coherent\nobservable = photon_number\n"
+                        "axis = eta\nvalues = 5e-324 0.5\n[fixed]\nnbar = 1\n")
+        assert main(["sweep", str(path), "--output", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert [row[3] for row in rows[1:]] == ["divergent", "0.5"]
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     @pytest.mark.parametrize(
@@ -364,23 +397,14 @@ class TestCli:
         assert main(argv) in (0, 1, 2)
 
     @pytest.mark.parametrize("observable", ["photon_number", "quad_q"])
-    def test_fisher_builds_the_probe_once(self, observable, monkeypatch, capsys):
-        from tpa_metrology import fock
-
-        original = fock.make_probe_state
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(original(*args, **kwargs))
-            return calls[-1]
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("tpa_metrology") and getattr(module, "make_probe_state", None) is original:
-                monkeypatch.setattr(module, "make_probe_state", counting)
-        argv = ["fisher", "--state", "sv", "--observable", observable, "--nbar", "2", "--eta", "0.5"]
+    @pytest.mark.parametrize("command", ["fisher", "sensitivity"])
+    def test_fisher_builds_the_probe_once(self, command, observable, probe_builds, capsys):
+        argv = [command, "--state", "sv", "--observable", observable, "--nbar", "2", "--eta", "0.5"]
         assert main(argv) == 0
-        assert len(calls) == 1
-        assert json.loads(capsys.readouterr().out)["cutoff_used"] == calls[0].n_max
+        assert len(probe_builds) == 1
+        out = json.loads(capsys.readouterr().out)
+        if command == "fisher":
+            assert out["cutoff_used"] == probe_builds[0].n_max
 
     def test_empty_axis_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

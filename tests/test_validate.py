@@ -9,6 +9,22 @@ from tpa_metrology.validate import (
 )
 
 
+def test_analytic_numeric_agreement_builds_each_probe_once(probe_builds):
+    # 36 probes, each evaluated at every eta for all three observables
+    (res,) = run_validate(checks=["analytic-numeric-agreement"])
+    assert res.status == "pass"
+    assert len(probe_builds) == 36
+
+
+def test_non_finite_densities_fail_their_checks():
+    # at this eta the Hermite functions overflow at x / sqrt(eta); a NaN
+    # density must fail its check, not pass as max(0.0, nan) = 0.0
+    pdf_checks = ["convolution-vs-kraus", "pdf-moment-consistency", "pdf-derivative-consistency"]
+    results = run_validate(eta=2.2250738585072014e-308, checks=["loss-trace-preservation", *pdf_checks])
+    assert [r.status for r in results] == ["pass", "fail", "fail", "fail"]
+    assert all("GridError" in r.detail for r in results[1:])
+
+
 def test_mutated_generator_fails_gradient_check():
     # wrong Lindblad prefactor (1/2 instead of 1/4) must break the
     # gradient-vs-propagation consistency
