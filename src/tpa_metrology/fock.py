@@ -7,7 +7,8 @@ conj(alpha) e^{i phi_r} sinh r, so that every intermediate state has a mean
 photon number bounded by the final one.  Both unitaries are the exact
 exponentials of their truncated generators, each a diagonal phase similarity
 of a real symmetric tridiagonal matrix, applied through that matrix's
-eigendecomposition.
+eigendecomposition: MRRR for the squeeze; for the displacement, whose matrix
+is the Hermite Jacobi matrix, Gauss-Hermite nodes and oscillator functions.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_hermite
 
 from .exceptions import CutoffGrowthWarning, TruncationError
 
@@ -32,6 +34,7 @@ _SQRT2 = math.sqrt(2.0)
 # probe's amplitudes carry a roundoff floor near 1e-15 (populations ~1e-30
 # per bin), which would otherwise read as growth towards the cutoff.
 _TAIL_FLOOR = 1e-20
+_HERMITE_NODES: dict[int, np.ndarray] = {}  # refined Gauss-Hermite nodes per dimension
 
 
 def cutoff_cap(explicit: int | None = None) -> int:
@@ -154,21 +157,42 @@ def ladder_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def _phased_exp(off: np.ndarray, s: float, d: complex, x: np.ndarray) -> np.ndarray:
-    """D exp(i s T) D* x for D = diag(d^k), |d| = 1, and T real symmetric tridiagonal.
+def _phased_exp(lam: np.ndarray, vec: np.ndarray, s: float, d: complex, x: np.ndarray) -> np.ndarray:
+    """D exp(i s T) D* x for D = diag(d^k), |d| = 1, and T = V diag(lam) V^T real symmetric.
 
-    T has a zero diagonal and off-diagonal ``off``.  One MRRR eigendecomposition
-    T = V diag(lam) V^T gives exp(i s T) = V diag(e^{i s lam}) V^T (Moler & Van
-    Loan, SIAM Rev. 45, 3 (2003)); each product with V is one real
-    (N x N)(N x 2) multiply on the stacked real and imaginary parts.
+    exp(i s T) = V diag(e^{i s lam}) V^T (Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)); each product with V is one real (N x N)(N x 2) multiply on the
+    stacked real and imaginary parts.
     """
-    lam, vec = eigh_tridiagonal(np.zeros(x.size), off, lapack_driver="stemr")
     phase = d ** np.arange(x.size)
     y = np.conj(phase) * x
     w = vec.T @ np.column_stack([y.real, y.imag])
     z = (w[:, 0] + 1j * w[:, 1]) * np.exp(1j * s * lam)
     u = vec @ np.column_stack([z.real, z.imag])
     return phase * (u[:, 0] + 1j * u[:, 1])
+
+
+def _hermite_eigenpairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of J, zero diagonal and off-diagonal sqrt(n+1), of size dim.
+
+    J is the Jacobi matrix of the Hermite polynomials: its eigenvalues are
+    sqrt(2) x_j with H_dim(x_j) = 0, and column j of V is (psi_0(x_j), ...,
+    psi_{dim-1}(x_j)), normalised (Golub & Welsch, Math. Comp. 23, 221
+    (1969)).  The nodes are cached per dim after one Newton step on psi_dim,
+    whose derivative at a zero is sqrt(2 dim) psi_{dim-1}.
+    """
+    from .distributions import hermite_functions  # distributions imports fock
+
+    x = _HERMITE_NODES.get(dim)
+    if x is None:
+        x = roots_hermite(dim)[0]
+        psi = hermite_functions(x, dim)[dim - 1 :].copy()  # frees the N x N matrix
+        x = x - psi[1] / (math.sqrt(2.0 * dim) * psi[0])
+        x.flags.writeable = False
+        _HERMITE_NODES[dim] = x
+    vec = hermite_functions(x, dim - 1)
+    vec /= np.sqrt(np.einsum("ij,ij->j", vec, vec))
+    return _SQRT2 * x, vec
 
 
 def apply_squeeze(state: StateVector, r: float, phi_r: float = 0.0) -> StateVector:
@@ -188,7 +212,8 @@ def apply_squeeze(state: StateVector, r: float, phi_r: float = 0.0) -> StateVect
         if not x.any():
             continue
         n = np.arange(p, state.dim - 2, 2, dtype=float)
-        out[p::2] = _phased_exp(0.5 * np.sqrt((n + 1.0) * (n + 2.0)), r, d, x)
+        off = 0.5 * np.sqrt((n + 1.0) * (n + 2.0))
+        out[p::2] = _phased_exp(*eigh_tridiagonal(np.zeros(x.size), off, lapack_driver="stemr"), r, d, x)
     return StateVector(out)
 
 
@@ -196,12 +221,12 @@ def apply_displacement(state: StateVector, beta: complex) -> StateVector:
     """Apply D(beta) = exp(beta a_dag - beta* a).
 
     The truncated generator is D (i |beta| J) D* with D = diag((-i e^{i arg beta})^n)
-    and J real tridiagonal with off-diagonal sqrt(n+1).
+    and J real tridiagonal with off-diagonal sqrt(n+1) (see `_hermite_eigenpairs`).
     """
     if beta == 0:
         return StateVector(state.amp.copy())
     d = -1j * cmath.exp(1j * cmath.phase(beta))
-    return StateVector(_phased_exp(np.sqrt(np.arange(1.0, state.dim)), abs(beta), d, state.amp))
+    return StateVector(_phased_exp(*_hermite_eigenpairs(state.dim), abs(beta), d, state.amp))
 
 
 def _build_probe(spec: ProbeSpec, n_max: int) -> np.ndarray:

@@ -123,8 +123,8 @@ def check_squeeze_unitarity(ctx: _Ctx) -> str:
     there = apply_squeeze(state, 1.2, 0.7)
     back = apply_squeeze(there, -1.2, 0.7)
     fid = state.fidelity(back)
-    assert fid > 1.0 - 1e-10, f"fidelity after squeeze/unsqueeze {fid}"
-    return f"fidelity 1 - {1.0 - fid:.2e}"
+    assert abs(1.0 - fid) < 1e-10, f"fidelity after squeeze/unsqueeze {fid}"
+    return f"|1 - fidelity| = {abs(1.0 - fid):.2e}"
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 33, 488 (2011)).
 
 This is the route the probe builder took before it moved to tridiagonal
-eigendecompositions; the tests keep it as an independent oracle for
-`fock.apply_squeeze`, `fock.apply_displacement` and the probe build.
+eigendecompositions (MRRR for the squeeze, Gauss-Hermite nodes and
+oscillator functions for the displacement); the tests keep it as an
+independent oracle for `fock.apply_squeeze`, `fock.apply_displacement` and
+the probe build.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
+from scipy.special import gammaln
 
+from tpa_metrology import fock
 from tpa_metrology.exceptions import TruncationError
 from tpa_metrology.fock import (
     ProbeSpec,
@@ -102,8 +104,6 @@ class TestMakeProbeState:
         alpha = 1.3 * np.exp(0.4j)
         state = make_probe_state(ProbeSpec(alpha_abs=1.3, phi=0.4))
         n = np.arange(state.dim)
-        from scipy.special import gammaln
-
         expected = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(alpha) - 0.5 * gammaln(n + 1.0))
         assert np.max(np.abs(state.amp - expected)) < 1e-12
 
@@ -194,6 +194,48 @@ class TestUnitaries:
         state = make_probe_state(spec, tail_tol=1e-8)
         assert state.n_max == cutoff
         assert np.max(np.abs(state.amp - expm_oracle.build_probe(spec, cutoff))) < 5e-12
+
+    @pytest.mark.parametrize("dim, mean_n", [(2001, 50.0), (4001, 1000.0)])
+    def test_displaced_vacuum_matches_poisson_amplitudes(self, dim, mean_n):
+        # away from the cutoff the truncated D(beta)|0> is the untruncated
+        # coherent state e^{-|beta|^2/2} beta^n / sqrt(n!)
+        beta = math.sqrt(mean_n) * np.exp(0.4j)
+        amp = apply_displacement(StateVector(np.eye(1, dim, dtype=complex)[0]), beta).amp
+        n = np.arange(dim // 2)
+        exact = np.exp(-0.5 * mean_n + n * np.log(beta) - 0.5 * gammaln(n + 1.0))
+        assert np.max(np.abs(amp[: dim // 2] - exact)) <= 5e-13
+
+    def test_displacement_roundtrip_at_large_dimension(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(4001) + 1j * rng.standard_normal(4001)
+        x /= np.linalg.norm(x)
+        beta = math.sqrt(1000.0) * np.exp(0.4j)
+        back = apply_displacement(apply_displacement(StateVector(x), beta), -beta).amp
+        assert np.max(np.abs(back - x)) <= 1e-12
+
+    def test_displacement_nodes_are_cached_per_dimension(self, monkeypatch):
+        calls = []
+
+        def counting_roots(dim):
+            calls.append(dim)
+            return real_roots(dim)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the displacement must not decompose J")
+
+        real_roots = fock.roots_hermite
+        monkeypatch.setattr(fock, "roots_hermite", counting_roots)
+        monkeypatch.setattr(fock, "eigh_tridiagonal", no_eigh)
+        monkeypatch.setattr(fock, "_HERMITE_NODES", {})
+        x = StateVector(np.eye(1, 97, dtype=complex)[0])
+        first = apply_displacement(x, 1.5 + 0.5j).amp
+        assert calls == [97]
+        assert np.array_equal(apply_displacement(x, 1.5 + 0.5j).amp, first)
+        assert calls == [97]
+        apply_displacement(StateVector(np.eye(1, 98, dtype=complex)[0]), 1.5 + 0.5j)
+        assert calls == [97, 98]
+        assert sorted(fock._HERMITE_NODES) == [97, 98]
+        assert all(nodes.shape == (dim,) for dim, nodes in fock._HERMITE_NODES.items())
 
 
 class TestTailEstimate:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tpa_metrology.fock import StateVector
 from tpa_metrology.validate import (
     CHECKS,
     first_order_gradient_check,
@@ -23,6 +24,21 @@ def test_non_finite_densities_fail_their_checks():
     results = run_validate(eta=2.2250738585072014e-308, checks=["loss-trace-preservation", *pdf_checks])
     assert [r.status for r in results] == ["pass", "fail", "fail", "fail"]
     assert all("GridError" in r.detail for r in results[1:])
+
+
+def test_squeeze_unitarity_reports_the_distance_from_one():
+    (res,) = run_validate(checks=["squeeze-unitarity"])
+    assert res.status == "pass"
+    assert res.detail.startswith("|1 - fidelity| = ")
+    assert float(res.detail.split("= ")[1]) >= 0.0
+
+
+@pytest.mark.parametrize("fid", [1.0 - 1e-9, 1.0 + 1e-9, float("nan")])
+def test_squeeze_unitarity_fails_on_either_side_of_one(monkeypatch, fid):
+    # a fidelity above one is as non-unitary as one below it
+    monkeypatch.setattr(StateVector, "fidelity", lambda self, other: fid)
+    (res,) = run_validate(checks=["squeeze-unitarity"])
+    assert res.status == "fail"
 
 
 def test_mutated_generator_fails_gradient_check():
