@@ -2,10 +2,10 @@
 
 Photon-number side: closed-form squeezed-vacuum and Poisson distributions,
 plus the pipeline pre-loss populations -> TPA population derivative ->
-binomial thinning.  Quadrature side: position/momentum densities from
-harmonic-oscillator eigenfunctions (vacuum variance 1/2 convention), with
-single-photon loss realized as a rescale of the argument followed by a
-convolution with the vacuum Gaussian of the auxiliary mode.
+binomial thinning.  Quadrature side: position/momentum densities contracted
+against 64-row blocks of the oscillator-eigenfunction recurrence (vacuum
+variance 1/2), with single-photon loss realized as a rescale of the argument
+followed by a convolution with the vacuum Gaussian of the auxiliary mode.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ _NEG_CLIP = -1e-12
 # detected density (span widened where the derivative tails need it).
 _GRID_POINTS = 2001
 _SIGMA_SPAN = 6.0
+_HERMITE_ROWS = 64  # rows per block of the Hermite recurrence
 
 
 @dataclass
@@ -134,28 +135,40 @@ def hermite_functions(x: np.ndarray, n_max: int) -> np.ndarray:
     be O(1) once n > x^2/2, so columns carry a log-scale offset that is paid
     back on output.  Convention: vacuum density has variance 1/2.
     """
+    psi = np.empty((n_max + 1, np.size(x)), dtype=float)
+    next(_hermite_blocks(x, n_max, out=psi))  # given out, the first block is all of it
+    return psi
+
+
+def _hermite_blocks(x: np.ndarray, n_max: int, out: np.ndarray | None = None):
+    """Yield (n0, block) with block[k] = psi_{n0+k}(x), up to n0 + k = n_max.
+
+    _HERMITE_ROWS rows at a time in one reused buffer, which the next block
+    overwrites; with ``out`` (n_max + 1 rows) the one block is ``out`` itself.
+    """
     x = np.asarray(x, dtype=float)
-    psi = np.empty((n_max + 1, x.size), dtype=float)
+    buf = np.empty((min(_HERMITE_ROWS, n_max + 1), x.size), dtype=float) if out is None else out
+    rows = len(buf)
     half_sq = 0.5 * x * x
     log_scale = -np.maximum(half_sq - 350.0, 0.0)
     half_pay = np.exp(0.5 * log_scale)  # applied twice so offsets to ~ -1400 survive
     pm1 = _PI_QUARTER * np.exp(-half_sq - log_scale)
-    psi[0] = pm1 * half_pay * half_pay
-    if n_max == 0:
-        return psi
     p = math.sqrt(2.0) * x * pm1
-    psi[1] = p * half_pay * half_pay
-    for n in range(2, n_max + 1):
-        p, pm1 = math.sqrt(2.0 / n) * x * p - math.sqrt((n - 1.0) / n) * pm1, p
-        grown = np.abs(p) > 1e250
-        if grown.any():
-            shrink = math.exp(-500.0)
-            p[grown] *= shrink
-            pm1[grown] *= shrink
-            log_scale[grown] += 500.0
-            half_pay[grown] = np.exp(0.5 * log_scale[grown])
-        psi[n] = p * half_pay * half_pay
-    return psi
+    for n0 in range(0, n_max + 1, rows):
+        block = buf[: min(rows, n_max + 1 - n0)]
+        for n, row in enumerate(block, n0):
+            if n >= 2:
+                p, pm1 = math.sqrt(2.0 / n) * x * p - math.sqrt((n - 1.0) / n) * pm1, p
+                grown = np.abs(p) > 1e250
+                if grown.any():
+                    shrink = math.exp(-500.0)
+                    p[grown] *= shrink
+                    pm1[grown] *= shrink
+                    log_scale[grown] += 500.0
+                    half_pay[grown] = np.exp(0.5 * log_scale[grown])
+            np.multiply(p if n else pm1, half_pay, out=row)
+            row *= half_pay
+        yield n0, block
 
 
 def _momentum_rotated(amp: np.ndarray) -> np.ndarray:
@@ -244,20 +257,19 @@ def _pure_state_densities(amp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     For rho = |psi><psi| the generator gives
     dP0 = (1/2)|<x|a^2 psi>|^2 - Re[<x|a_dag^2 a^2 psi> <x|psi>*] / 2,
     which equals sum_{m,n} (L rho)_{mn} psi_m(x) psi_n(x) without forming rho.
+    Re and Im of psi, a^2 psi and n(n-1) psi form one real (6, dim) matrix that
+    multiplies each row block of the recurrence as it is produced, so memory is
+    O(_HERMITE_ROWS * len(x)) and no (dim, len(x)) matrix is held.
     """
     dim = amp.size
-    psi = hermite_functions(x, dim - 1)
     n = np.arange(dim, dtype=float)
     a2_amp = np.zeros(dim, dtype=complex)
     if dim > 2:
         a2_amp[:-2] = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) * amp[2:]
-    n2_amp = n * (n - 1.0) * amp
-    f = amp @ psi
-    g2 = a2_amp @ psi
-    h = n2_amp @ psi
-    p0 = np.abs(f) ** 2
-    dp0 = 0.5 * (np.abs(g2) ** 2 - np.real(h * np.conj(f)))
-    return p0, dp0
+    stacked = np.stack([amp, a2_amp, n * (n - 1.0) * amp])
+    coef = np.concatenate([stacked.real, stacked.imag])  # one real (6, dim) matrix
+    fr, gr, hr, fi, gi, hi = sum(coef[:, n0 : n0 + len(b)] @ b for n0, b in _hermite_blocks(x, dim - 1))
+    return fr * fr + fi * fi, 0.5 * (gr * gr + gi * gi - (hr * fr + hi * fi))
 
 
 def quad_pdf_from_density(rho: np.ndarray, x: np.ndarray, which: str = "q") -> np.ndarray:

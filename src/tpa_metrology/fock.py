@@ -181,12 +181,14 @@ def _hermite_eigenpairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     (1969)).  The nodes are cached per dim after one Newton step on psi_dim,
     whose derivative at a zero is sqrt(2 dim) psi_{dim-1}.
     """
-    from .distributions import hermite_functions  # distributions imports fock
+    from .distributions import _hermite_blocks, hermite_functions  # distributions imports fock
 
     x = _HERMITE_NODES.get(dim)
     if x is None:
         x = roots_hermite(dim)[0]
-        psi = hermite_functions(x, dim)[dim - 1 :].copy()  # frees the N x N matrix
+        psi = np.empty((0, dim))  # ends as psi_{dim-1}, psi_dim: the last two rows streamed
+        for _, block in _hermite_blocks(x, dim):
+            psi = np.concatenate([psi, block[-2:]])[-2:]
         x = x - psi[1] / (math.sqrt(2.0 * dim) * psi[0])
         x.flags.writeable = False
         _HERMITE_NODES[dim] = x

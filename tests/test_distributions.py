@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tpa_metrology import distributions
 from tpa_metrology.channels import LossSpec, loss_channel, tpa_generator
 from tpa_metrology.distributions import (
     Pmf,
@@ -14,7 +16,59 @@ from tpa_metrology.distributions import (
     sv_pmf_closed_form,
 )
 from tpa_metrology.exceptions import GridError
-from tpa_metrology.fock import ProbeSpec, StateVector, make_probe_state, moments
+from tpa_metrology.fock import (
+    ProbeSpec,
+    StateVector,
+    apply_displacement,
+    apply_squeeze,
+    make_probe_state,
+    moments,
+)
+
+
+def dense_hermite_recurrence(x: np.ndarray, n_max: int) -> np.ndarray:
+    """The unblocked scaled recurrence, written out row by row as a reference."""
+    psi = np.empty((n_max + 1, x.size))
+    half_sq = 0.5 * x * x
+    log_scale = -np.maximum(half_sq - 350.0, 0.0)
+    half_pay = np.exp(0.5 * log_scale)
+    pm1 = math.pi ** (-0.25) * np.exp(-half_sq - log_scale)
+    psi[0] = pm1 * half_pay * half_pay
+    p = math.sqrt(2.0) * x * pm1
+    for n in range(1, n_max + 1):
+        if n >= 2:
+            p, pm1 = math.sqrt(2.0 / n) * x * p - math.sqrt((n - 1.0) / n) * pm1, p
+            grown = np.abs(p) > 1e250
+            if grown.any():
+                p[grown] *= math.exp(-500.0)
+                pm1[grown] *= math.exp(-500.0)
+                log_scale[grown] += 500.0
+                half_pay[grown] = np.exp(0.5 * log_scale[grown])
+        psi[n] = p * half_pay * half_pay
+    return psi
+
+
+def dense_pure_state_densities(amp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P0 and dP0 from complex products against the whole Hermite matrix."""
+    dim = amp.size
+    psi = hermite_functions(x, dim - 1)
+    n = np.arange(dim, dtype=float)
+    a2_amp = np.zeros(dim, dtype=complex)
+    a2_amp[: max(dim - 2, 0)] = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) * amp[2:]
+    f, g2, h = amp @ psi, a2_amp @ psi, (n * (n - 1.0) * amp) @ psi
+    return np.abs(f) ** 2, 0.5 * (np.abs(g2) ** 2 - np.real(h * np.conj(f)))
+
+
+def probe_of_dimension(kind: str, dim: int) -> StateVector:
+    """A probe truncated to exactly dim levels; larger amplitudes from dim ~1000 on."""
+    big = dim > 500
+    state = StateVector(np.eye(1, dim, dtype=complex)[0])
+    if kind == "sv":
+        return apply_squeeze(state, math.asinh(math.sqrt(20.0)) if big else 0.5)
+    if kind == "coherent":
+        return apply_displacement(state, (math.sqrt(50.0) if big else 1.5) * np.exp(0.4j))
+    squeezed = apply_squeeze(state, 1.2 if big else 0.6, phi_r=0.7)
+    return apply_displacement(squeezed, (4.0 if big else 1.2) * np.exp(0.3j))
 
 
 class TestSvPmfClosedForm:
@@ -125,6 +179,68 @@ class TestHermiteFunctions:
         psi = hermite_functions(x, 900)
         assert psi[900, 0] != 0.0
         assert np.isfinite(psi[900, 0])
+
+
+class TestHermiteBlocks:
+    @pytest.mark.parametrize("n_max", [0, 1, 62, 63, 64, 65, 129, 900])
+    def test_blocks_concatenate_to_hermite_functions(self, n_max):
+        # |x| up to 45 reaches past 38.6, where the per-column rescaling acts
+        x = np.linspace(-45.0, 45.0, 181)
+        starts, blocks = [], []
+        for n0, block in distributions._hermite_blocks(x, n_max):
+            assert 1 <= len(block) <= distributions._HERMITE_ROWS
+            starts.append(n0)
+            blocks.append(block.copy())
+        assert starts == list(range(0, n_max + 1, distributions._HERMITE_ROWS))
+        whole = np.concatenate(blocks)
+        assert np.array_equal(whole, hermite_functions(x, n_max))
+        assert np.array_equal(whole, dense_hermite_recurrence(x, n_max))
+
+
+class TestPureStateDensities:
+    # dP0 cancels n(n-1)-weighted sums, so its roundoff grows with <n^2>: for
+    # the sv at dim 1001 (q) the dense products are up to 1.5e-13 of max |dP0|
+    # off an 80-bit evaluation and the blocked ones up to 5.6e-14, and the two
+    # differ by up to 1.9e-13; the bound leaves room for other BLAS kernels
+    DP0_TOL = 5e-13
+
+    @pytest.mark.parametrize("kind", ["sv", "coherent", "displaced_squeezed"])
+    @pytest.mark.parametrize("dim", [3, 64, 65, 130, 1001])
+    def test_blocked_contraction_matches_dense(self, kind, dim):
+        amp = probe_of_dimension(kind, dim).amp
+        half = math.sqrt(2.0 * dim + 1.0) + 4.0
+        x = np.linspace(-half, half, 1201)
+        for rotated in (amp, distributions._momentum_rotated(amp)):
+            p0, dp0 = distributions._pure_state_densities(rotated, x)
+            ref_p0, ref_dp0 = dense_pure_state_densities(rotated, x)
+            assert np.max(np.abs(p0 - ref_p0)) <= 1e-13 * np.max(np.abs(ref_p0))
+            assert np.max(np.abs(dp0 - ref_dp0)) <= self.DP0_TOL * np.max(np.abs(ref_dp0))
+
+    @pytest.mark.parametrize("kind", ["sv", "coherent", "displaced_squeezed"])
+    @pytest.mark.parametrize("dim, eta", [(3, 0.6), (64, 0.6), (65, 0.6), (130, 0.6), (1001, 1.0)])
+    def test_quadrature_pair_matches_dense(self, kind, dim, eta, monkeypatch):
+        state = probe_of_dimension(kind, dim)
+        for which in ("q", "p"):
+            pdf, dpdf = quad_pdf_pair_from_state(state, LossSpec(eta), which)
+            with monkeypatch.context() as m:
+                m.setattr(distributions, "_pure_state_densities", dense_pure_state_densities)
+                ref, dref = quad_pdf_pair_from_state(state, LossSpec(eta), which)
+            assert np.array_equal(pdf.grid, ref.grid)
+            assert np.max(np.abs(pdf.density - ref.density)) <= 1e-13 * np.max(np.abs(ref.density))
+            assert np.max(np.abs(dpdf.density - dref.density)) <= self.DP0_TOL * np.max(np.abs(dref.density))
+
+    def test_memory_stays_below_one_hermite_matrix(self):
+        # sv <n> = 20 at eta = 0.5: the dense route held a (1049 x 6001) Hermite
+        # matrix and its complex copy, about 145 MB
+        state = make_probe_state(ProbeSpec.squeezed_vacuum(math.asinh(math.sqrt(20.0))))
+        assert state.dim == 1049
+        tracemalloc.start()
+        try:
+            quad_pdf_pair_from_state(state, LossSpec(0.5), "q")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestQuadPdf:

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from tpa_metrology import fock
+from tpa_metrology.distributions import hermite_functions
 from tpa_metrology.exceptions import TruncationError
 from tpa_metrology.fock import (
     ProbeSpec,
@@ -236,6 +237,15 @@ class TestUnitaries:
         assert calls == [97, 98]
         assert sorted(fock._HERMITE_NODES) == [97, 98]
         assert all(nodes.shape == (dim,) for dim, nodes in fock._HERMITE_NODES.items())
+
+    @pytest.mark.parametrize("dim", [65, 251, 2001])
+    def test_cached_nodes_match_one_newton_step_on_the_full_matrix(self, dim, monkeypatch):
+        # the streamed Newton step keeps the same two rows of the recurrence
+        monkeypatch.setattr(fock, "_HERMITE_NODES", {})
+        fock._hermite_eigenpairs(dim)
+        x = fock.roots_hermite(dim)[0]
+        psi = hermite_functions(x, dim)[dim - 1 :]
+        assert np.array_equal(fock._HERMITE_NODES[dim], x - psi[1] / (math.sqrt(2.0 * dim) * psi[0]))
 
 
 class TestTailEstimate:
