@@ -8,6 +8,7 @@ as binomial thinning on photon-count distributions.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ _BAND_PAD = 40.0
 # The band is filled a block of whole columns of about this many cells at a
 # time, so its index and pmf temporaries stay small next to the matrix.
 _BLOCK_CELLS = 65536
+# Inside a `_reused_band` scope: the one band kept, as {"eta", "size",
+# "arrays": (data, indices, indptr)}, or {} before the first thinning.
+_held_band: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -96,20 +100,35 @@ def loss_channel(rho: np.ndarray, loss: LossSpec) -> np.ndarray:
     return out
 
 
-def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:
-    """Binomial-thinning linear map on a photon-count vector (need not be a pmf).
+@contextmanager
+def _reused_band():
+    """Within the scope, apply_binomial_loss keeps one band for reuse at the same eta.
 
-    out[n] = sum_m binom.pmf(n, m, eta) vec[m].  A 2-D ``vec`` is thinned
-    column by column, so a stacked (P, dP) pair pays for one map.  Column m
-    keeps only the band |n - eta m| <= 14 sigma_m + 40, O(N sigma) pmf
-    evaluations in all; the dropped entries weigh < 1e-25 of each column.
+    A call at the held eta and at most the held size thins with the band's
+    leading block; any other call drops the held band before it builds and
+    keeps its own.  The band is released when the (outermost) scope exits.
     """
-    v = np.asarray(vec, dtype=float)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if eta == 1.0:
-        return v.copy()
-    size = v.shape[0]
+    global _held_band
+    if _held_band is not None:  # nested: the outer scope owns the band
+        yield
+        return
+    _held_band = {}
+    try:
+        yield
+    finally:
+        _held_band = None
+
+
+def _band_arrays(size: int, eta: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], bool]:
+    """(data, indices, indptr) of the size x size thinning band in CSC form, and reusability.
+
+    Column m depends on (m, eta) alone, so the band at any size is the
+    leading block of the band at a larger one, with the same entries in the
+    same order.  Not so where a block of columns fell back to logpmf (eta
+    near 1e-308, where binom.pmf is also off by ~3e-14 in columns it does not
+    overflow): whether a block overflows depends on where the band ends, so
+    such a band is reported as not reusable.
+    """
     m = np.arange(size)
     width = _BAND_SIGMAS * np.sqrt(m * (eta * (1.0 - eta))) + _BAND_PAD
     lo = np.maximum(np.ceil(eta * m - width), 0).astype(np.int64)
@@ -119,6 +138,7 @@ def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:
     np.cumsum(counts, out=indptr[1:])
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)  # csc_matrix would copy int64 to int32
+    reusable = True
     c0 = 0
     while c0 < size:
         c1 = int(np.searchsorted(indptr, indptr[c0] + _BLOCK_CELLS, side="right")) - 1
@@ -127,9 +147,44 @@ def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:
         cols = np.repeat(m[c0:c1], counts[c0:c1])
         rows = np.arange(indptr[c0], indptr[c1]) - np.repeat(indptr[c0:c1] - lo[c0:c1], counts[c0:c1])
         indices[cells] = rows
-        data[cells] = _binom_pmf(rows, cols, eta)
+        try:
+            data[cells] = binom.pmf(rows, cols, eta)
+        except OverflowError:  # see _binom_pmf
+            data[cells] = np.exp(binom.logpmf(rows, cols, eta))
+            reusable = False
         c0 = c1
-    band = csc_matrix((data, indices, indptr), shape=(size, size))
+    return (data, indices, indptr), reusable
+
+
+def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:
+    """Binomial-thinning linear map on a photon-count vector (need not be a pmf).
+
+    out[n] = sum_m binom.pmf(n, m, eta) vec[m].  A 2-D ``vec`` is thinned
+    column by column, so a stacked (P, dP) pair pays for one map.  Column m
+    keeps only the band |n - eta m| <= 14 sigma_m + 40, O(N sigma) pmf
+    evaluations in all; the dropped entries weigh < 1e-25 of each column.
+    The band is built, used and freed, except inside a sweep
+    (`_reused_band`), which keeps the last one and thins every later call at
+    the same eta and no larger size with its leading block: the same numbers
+    bit for bit, without rebuilding.
+    """
+    v = np.asarray(vec, dtype=float)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if eta == 1.0:
+        return v.copy()
+    size = v.shape[0]
+    held = _held_band
+    if held and held["eta"] == eta and held["size"] >= size:
+        data, indices, indptr = held["arrays"]
+    else:
+        if held:
+            held.clear()  # two bands are never alive at once
+        (data, indices, indptr), reusable = _band_arrays(size, eta)
+        if held is not None and reusable:
+            held.update(eta=eta, size=size, arrays=(data, indices, indptr))
+    cells = indptr[size]
+    band = csc_matrix((data[:cells], indices[:cells], indptr[: size + 1]), shape=(size, size))
     return band @ v
 
 

@@ -8,7 +8,8 @@ photon number bounded by the final one.  Both unitaries are the exact
 exponentials of their truncated generators, each a diagonal phase similarity
 of a real symmetric tridiagonal matrix, applied through that matrix's
 eigendecomposition: MRRR for the squeeze; for the displacement, whose matrix
-is the Hermite Jacobi matrix, Gauss-Hermite nodes and oscillator functions.
+is the Hermite Jacobi matrix, Gauss-Hermite nodes and oscillator functions,
+evaluated at the non-negative nodes only.
 """
 
 from __future__ import annotations
@@ -172,16 +173,14 @@ def _phased_exp(lam: np.ndarray, vec: np.ndarray, s: float, d: complex, x: np.nd
     return phase * (u[:, 0] + 1j * u[:, 1])
 
 
-def _hermite_eigenpairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of J, zero diagonal and off-diagonal sqrt(n+1), of size dim.
+def _hermite_nodes(dim: int) -> np.ndarray:
+    """Gauss-Hermite nodes x_j, H_dim(x_j) = 0, ascending; cached per dim.
 
-    J is the Jacobi matrix of the Hermite polynomials: its eigenvalues are
-    sqrt(2) x_j with H_dim(x_j) = 0, and column j of V is (psi_0(x_j), ...,
-    psi_{dim-1}(x_j)), normalised (Golub & Welsch, Math. Comp. 23, 221
-    (1969)).  The nodes are cached per dim after one Newton step on psi_dim,
-    whose derivative at a zero is sqrt(2 dim) psi_{dim-1}.
+    `roots_hermite` refined by one Newton step on psi_dim, whose derivative
+    at a zero is sqrt(2 dim) psi_{dim-1}.  The result is exactly
+    mirror-symmetric, x == -x[::-1].
     """
-    from .distributions import _hermite_blocks, hermite_functions  # distributions imports fock
+    from .distributions import _hermite_blocks  # distributions imports fock
 
     x = _HERMITE_NODES.get(dim)
     if x is None:
@@ -192,9 +191,7 @@ def _hermite_eigenpairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
         x = x - psi[1] / (math.sqrt(2.0 * dim) * psi[0])
         x.flags.writeable = False
         _HERMITE_NODES[dim] = x
-    vec = hermite_functions(x, dim - 1)
-    vec /= np.sqrt(np.einsum("ij,ij->j", vec, vec))
-    return _SQRT2 * x, vec
+    return x
 
 
 def apply_squeeze(state: StateVector, r: float, phi_r: float = 0.0) -> StateVector:
@@ -223,12 +220,41 @@ def apply_displacement(state: StateVector, beta: complex) -> StateVector:
     """Apply D(beta) = exp(beta a_dag - beta* a).
 
     The truncated generator is D (i |beta| J) D* with D = diag((-i e^{i arg beta})^n)
-    and J real tridiagonal with off-diagonal sqrt(n+1) (see `_hermite_eigenpairs`).
+    and J real tridiagonal with off-diagonal sqrt(n+1), the Jacobi matrix of
+    the Hermite polynomials: its eigenvalues are sqrt(2) x_j with
+    H_dim(x_j) = 0, and its eigenvector at x_j is (psi_0(x_j), ...,
+    psi_{dim-1}(x_j)), normalised (Golub & Welsch, Math. Comp. 23, 221
+    (1969)).  As psi_n(-x) = (-1)^n psi_n(x) exactly, only the non-negative
+    nodes are evaluated: with S = diag((-1)^n) and V the (unnormalised)
+    dim x ceil(dim/2) vectors there, exp(i s J) y = V N (e^{i s lam} V^T y)
+    + S V N (e^{-i s lam} V^T S y), N the inverse squared norms, counting a
+    zero node (odd dim) once.  Each product with V is a real multiply on four
+    stacked columns.
     """
     if beta == 0:
         return StateVector(state.amp.copy())
-    d = -1j * cmath.exp(1j * cmath.phase(beta))
-    return StateVector(_phased_exp(*_hermite_eigenpairs(state.dim), abs(beta), d, state.amp))
+    from .distributions import _hermite_blocks  # distributions imports fock
+
+    dim = state.dim
+    x = _hermite_nodes(dim)[dim // 2 :]
+    # V stays in the recurrence's 64-row blocks: one 16 MB matrix (dim 2001),
+    # once freed, lifts glibc's mmap threshold, and a later 32 MB squeeze
+    # eigenvector matrix then lands in a fresh mmap on top of the free heap.
+    blocks = [(n0, block.copy()) for n0, block in _hermite_blocks(x, dim - 1)]
+    phase = (-1j * cmath.exp(1j * cmath.phase(beta))) ** np.arange(dim)
+    sign = (-1.0) ** np.arange(dim)
+    y = np.conj(phase) * state.amp
+    ys = np.column_stack([y.real, y.imag, sign * y.real, sign * y.imag])
+    w = sum(block.T @ ys[n0 : n0 + len(block)] for n0, block in blocks)
+    norm_sq = sum(np.einsum("ij,ij->j", block, block) for _, block in blocks)
+    turn = np.exp(1j * abs(beta) * (_SQRT2 * x)) / norm_sq
+    z_pos = (w[:, 0] + 1j * w[:, 1]) * turn
+    z_neg = (w[:, 2] + 1j * w[:, 3]) * turn.conj()
+    if dim % 2:
+        z_neg[0] = 0.0  # the zero node is its own mirror
+    zs = np.column_stack([z_pos.real, z_pos.imag, z_neg.real, z_neg.imag])
+    u = np.concatenate([block @ zs for _, block in blocks])
+    return StateVector(phase * (u[:, 0] + 1j * u[:, 1] + sign * (u[:, 2] + 1j * u[:, 3])))
 
 
 def _build_probe(spec: ProbeSpec, n_max: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LossSpec, apply_binomial_loss, population_derivative
+from .channels import LossSpec, _reused_band, apply_binomial_loss, population_derivative
 from .distributions import (
     Pmf,
     QuadPdf,
@@ -308,11 +308,12 @@ def squeeze_scan(
     if n_r_values is None:
         n_r_values = default_squeeze_grid(nbar)
     fi = np.empty(len(n_r_values))
-    for i, n_r in enumerate(n_r_values):
-        r = math.asinh(math.sqrt(n_r))
-        alpha = amplitude_for_mean_n(nbar, n_r, phi)
-        spec = ProbeSpec(r=r, alpha_abs=alpha, phi=phi)
-        fi[i] = fisher_photon_counting(spec, loss, tail_tol=tail_tol).fi
+    with _reused_band():  # every point thins at the one eta
+        for i, n_r in enumerate(n_r_values):
+            r = math.asinh(math.sqrt(n_r))
+            alpha = amplitude_for_mean_n(nbar, n_r, phi)
+            spec = ProbeSpec(r=r, alpha_abs=alpha, phi=phi)
+            fi[i] = fisher_photon_counting(spec, loss, tail_tol=tail_tol).fi
     return np.asarray(n_r_values, dtype=float), fi
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .channels import LossSpec
+from .channels import LossSpec, _reused_band
 from .fock import ProbeSpec, initial_cutoff, make_probe_state
 from .metrology import (
     OBSERVABLES,
@@ -165,7 +165,8 @@ def _sweep_point(config: SweepConfig, value: float) -> dict[str, str]:
 
 def run_sweep(config: SweepConfig) -> Path:
     """Execute the sweep and write the CSV; returns the output path."""
-    rows = [_sweep_point(config, v) for v in config.axis_values]
+    with _reused_band():  # points at one eta share a thinning band
+        rows = [_sweep_point(config, v) for v in config.axis_values]
 
     out = Path(config.output_path)
     fixed = " ".join(f"{k}={_fmt(float(v))}" for k, v in sorted(config.fixed_params.items()))

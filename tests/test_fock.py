@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,10 +243,74 @@ class TestUnitaries:
     def test_cached_nodes_match_one_newton_step_on_the_full_matrix(self, dim, monkeypatch):
         # the streamed Newton step keeps the same two rows of the recurrence
         monkeypatch.setattr(fock, "_HERMITE_NODES", {})
-        fock._hermite_eigenpairs(dim)
+        fock._hermite_nodes(dim)
         x = fock.roots_hermite(dim)[0]
         psi = hermite_functions(x, dim)[dim - 1 :]
         assert np.array_equal(fock._HERMITE_NODES[dim], x - psi[1] / (math.sqrt(2.0 * dim) * psi[0]))
+
+
+_PARITY_DIMS = [*range(2, 601), 1001, 1005, 2001, 4001]
+
+
+def full_node_displacement(amp: np.ndarray, beta: complex) -> np.ndarray:
+    """D(beta) amp from every Gauss-Hermite node: one dim x dim eigenvector matrix."""
+    dim = amp.size
+    x = fock._hermite_nodes(dim)
+    lam = SQRT2 * x
+    vec = hermite_functions(x, dim - 1)
+    vec /= np.sqrt(np.einsum("ij,ij->j", vec, vec))
+    phase = (-1j * np.exp(1j * np.angle(beta))) ** np.arange(dim)
+    y = np.conj(phase) * amp
+    w = vec.T @ np.column_stack([y.real, y.imag])
+    z = (w[:, 0] + 1j * w[:, 1]) * np.exp(1j * abs(beta) * lam)
+    u = vec @ np.column_stack([z.real, z.imag])
+    return phase * (u[:, 0] + 1j * u[:, 1])
+
+
+class TestNodeParity:
+    """The displacement evaluates the recurrence at the non-negative nodes only."""
+
+    def test_nodes_are_mirror_symmetric(self):
+        asymmetric = [dim for dim in _PARITY_DIMS
+                      if not np.array_equal(fock._hermite_nodes(dim), -fock._hermite_nodes(dim)[::-1])]
+        assert asymmetric == []
+
+    def test_hermite_functions_are_exactly_even_or_odd_on_the_nodes(self):
+        # x and -x together cover every node
+        for dim in _PARITY_DIMS:
+            x = fock._hermite_nodes(dim)[dim // 2 :]
+            if dim > 600:  # the 48 largest, past |x| = 38.6 where columns rescale, and every 16th
+                x = np.concatenate([x[:-48:16], x[-48:]])
+                assert x[-1] > 38.6
+            # one call on [x, -x]: the recurrence treats each column on its own
+            psi = hermite_functions(np.concatenate([x, -x]), dim - 1)
+            sign = (-1.0) ** np.arange(dim)[:, None]
+            assert np.array_equal(psi[:, x.size :], sign * psi[:, : x.size]), dim
+
+    @pytest.mark.parametrize("dim", [65, 252, 1001, 2001])
+    def test_matches_the_full_node_formula(self, dim):
+        rng = np.random.default_rng(dim)
+        vac = StateVector(np.eye(1, dim, dtype=complex)[0])
+        noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for state, beta in [
+            (vac, math.sqrt(50.0) * np.exp(0.4j)),
+            (apply_squeeze(vac, math.asinh(5.0)), 5.0 * np.exp(0.4j)),
+            (StateVector(noise / np.linalg.norm(noise)), 2.0 * np.exp(-1.1j)),
+        ]:
+            half = apply_displacement(state, beta).amp
+            assert np.max(np.abs(half - full_node_displacement(state.amp, beta))) <= 1e-15
+
+    def test_holds_half_the_eigenvector_matrix(self):
+        # the full-node matrix is 32 MB at dimension 2001, the half-node one 16 MB
+        state = StateVector(np.eye(1, 2001, dtype=complex)[0])
+        fock._hermite_nodes(2001)
+        tracemalloc.start()
+        try:
+            apply_displacement(state, 3.0 + 1.0j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestTailEstimate:

@@ -1,9 +1,11 @@
+import contextlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from tpa_metrology import channels, metrology
 from tpa_metrology.channels import LossSpec
 from tpa_metrology.distributions import QuadPdf
 from tpa_metrology.exceptions import IllConditionedBinWarning
@@ -234,3 +236,24 @@ class TestSqueezeScan:
             n_r, fi = squeeze_scan(4.0, LossSpec(0.9), n_r_values=np.linspace(0.0, 4.0, 5))
         assert len(n_r) == len(fi) == 5
         assert np.all(fi > 0.0)
+
+    @pytest.mark.filterwarnings("ignore::tpa_metrology.exceptions.IllConditionedBinWarning")
+    def test_scan_reuses_one_band_bit_identically(self, monkeypatch):
+        sizes = []
+        real_band_arrays = channels._band_arrays
+
+        def counting(size, eta):
+            sizes.append(size)
+            return real_band_arrays(size, eta)
+
+        monkeypatch.setattr(channels, "_band_arrays", counting)
+        grid = np.linspace(0.0, 20.0, 9)
+        _, scoped = squeeze_scan(20.0, LossSpec(0.75), n_r_values=grid, tail_tol=1e-8)
+        builds = len(sizes)
+        monkeypatch.setattr(metrology, "_reused_band", contextlib.nullcontext)
+        _, fresh = squeeze_scan(20.0, LossSpec(0.75), n_r_values=grid, tail_tol=1e-8)
+        assert np.array_equal(scoped, fresh)
+        assert len(sizes) - builds == grid.size
+        # at the one eta, a band is rebuilt only for a larger cutoff
+        assert builds < grid.size
+        assert sizes[:builds] == sorted(set(sizes[:builds]))

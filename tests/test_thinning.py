@@ -1,5 +1,7 @@
 """The banded binomial-thinning kernel against the dense binom.pmf matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import binom
 
+from tpa_metrology import channels
 from tpa_metrology.channels import apply_binomial_loss, population_derivative
 from tpa_metrology.distributions import coherent_pmf, pmf_auto_cutoff, sv_pmf_closed_form
 from tpa_metrology.metrology import fisher_discrete
+from tpa_metrology.sweeps import SweepConfig, run_sweep
 
 
 def dense_thin(vec, eta, chunk=1024):
@@ -85,3 +89,77 @@ def test_one_dimensional_contract():
 def test_rejects_eta_outside_unit_interval(eta):
     with pytest.raises(ValueError, match="eta"):
         apply_binomial_loss(np.array([0.5, 0.5]), eta)
+
+
+_TINY_ETA = 2.2250738585072014e-308
+
+
+def _pairs(sizes, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((size, 2)) for size in sizes]
+
+
+@pytest.mark.parametrize("eta", [0.75, 0.1, 0.0, _TINY_ETA])
+def test_reused_band_is_bit_identical_to_a_fresh_one(eta):
+    # the held band's leading block thins a smaller vector, a larger one rebuilds
+    vecs = _pairs([2001, 251, 1005, 2001, 64, 3])
+    fresh = [apply_binomial_loss(v, eta) for v in vecs]
+    with channels._reused_band():
+        reused = [apply_binomial_loss(v, eta) for v in vecs]
+    assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+
+
+def test_reused_band_follows_eta_changes():
+    calls = [(501, 0.3), (251, 0.3), (501, 0.0), (1005, 1.0), (300, 0.0), (64, _TINY_ETA), (2, _TINY_ETA),
+             (700, 0.3), (64, 0.3)]
+    vecs = _pairs([size for size, _ in calls], seed=1)
+    fresh = [apply_binomial_loss(v, eta) for v, (_, eta) in zip(vecs, calls)]
+    with channels._reused_band():
+        reused = [apply_binomial_loss(v, eta) for v, (_, eta) in zip(vecs, calls)]
+    assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+
+
+def test_no_band_is_held_outside_the_scope():
+    v = np.ones((300, 2))
+    with channels._reused_band():
+        apply_binomial_loss(v, 0.5)
+        assert channels._held_band["size"] == 300
+        with channels._reused_band():  # a nested scope leaves the band to the outer one
+            apply_binomial_loss(v, 0.5)
+        assert channels._held_band["size"] == 300
+    assert channels._held_band is None
+    with pytest.raises(RuntimeError):
+        with channels._reused_band():
+            apply_binomial_loss(v, 0.5)
+            raise RuntimeError("a sweep point failed")
+    assert channels._held_band is None
+    apply_binomial_loss(v, 0.5)
+    assert channels._held_band is None
+
+
+@pytest.mark.filterwarnings("ignore::tpa_metrology.exceptions.IllConditionedBinWarning")
+def test_an_eta_sweep_never_holds_two_bands(monkeypatch, tmp_path):
+    # every point of an eta sweep needs a new band; when it is built, the
+    # memory still traced from the sweep's start must not hold the last one
+    built = []
+    real_band_arrays = channels._band_arrays
+
+    def traced_band_arrays(size, eta):
+        alive = tracemalloc.get_traced_memory()[0] - start
+        band, reusable = real_band_arrays(size, eta)
+        built.append((alive, sum(a.nbytes for a in band)))
+        return band, reusable
+
+    monkeypatch.setattr(channels, "_band_arrays", traced_band_arrays)
+    etas = (0.2, 0.4, 0.6, 0.8)
+    config = SweepConfig(state_family="sv", observable="photon_number", sweep_axis="eta", axis_values=etas,
+                         fixed_params={"nbar": 20.0}, output_path=str(tmp_path / "eta.csv"))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_sweep(config)
+    finally:
+        tracemalloc.stop()
+    assert len(built) == len(etas)
+    assert all(nbytes > 500_000 for _, nbytes in built)
+    assert all(alive < last for (alive, _), (_, last) in zip(built[1:], built))
