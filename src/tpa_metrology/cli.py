@@ -211,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
         # these subclass ValueError, so they must be caught first
         print(f"numerical contract violation: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OverflowError:  # a finite input whose <n> or cutoff exceeds double range
+        print("numerical contract violation: input overflows double precision", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

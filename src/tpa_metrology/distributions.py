@@ -3,9 +3,10 @@
 Photon-number side: closed-form squeezed-vacuum and Poisson distributions,
 plus the pipeline pre-loss populations -> TPA population derivative ->
 binomial thinning.  Quadrature side: position/momentum densities contracted
-against 64-row blocks of the oscillator-eigenfunction recurrence (vacuum
-variance 1/2), with single-photon loss realized as a rescale of the argument
-followed by a convolution with the vacuum Gaussian of the auxiliary mode.
+against the 64-row blocks of the oscillator-eigenfunction recurrence that
+`fock` streams (vacuum variance 1/2), with single-photon loss realized as a
+rescale of the argument followed by a convolution with the vacuum Gaussian of
+the auxiliary mode.
 """
 
 from __future__ import annotations
@@ -21,15 +22,13 @@ from .channels import LossSpec, apply_binomial_loss, population_derivative
 from .exceptions import GridError
 # make_probe_state is not called here; it stays importable from this module
 # because the benchmark's tracer self-test (bench/selftest.py) reads it.
-from .fock import StateVector, make_probe_state, moments  # noqa: F401
+from .fock import StateVector, _hermite_blocks, make_probe_state, moments  # noqa: F401
 
-_PI_QUARTER = math.pi ** (-0.25)
 _NEG_CLIP = -1e-12
 # Quadrature output grid: uniform points over |mean| + span * sigma of the
 # detected density (span widened where the derivative tails need it).
 _GRID_POINTS = 2001
 _SIGMA_SPAN = 6.0
-_HERMITE_ROWS = 64  # rows per block of the Hermite recurrence
 
 
 @dataclass
@@ -130,45 +129,14 @@ def pmf_pair_from_state(state: StateVector, loss: LossSpec) -> tuple[Pmf, np.nda
 def hermite_functions(x: np.ndarray, n_max: int) -> np.ndarray:
     """Oscillator eigenfunctions psi_n(x) for n = 0..n_max, shape (n_max+1, len(x)).
 
-    Normalized three-term recurrence with per-column exponent scaling: the
-    Gaussian seed exp(-x^2/2) underflows for |x| > 38.6 while psi_n there can
-    be O(1) once n > x^2/2, so columns carry a log-scale offset that is paid
-    back on output.  Convention: vacuum density has variance 1/2.
+    The blocks of `fock._hermite_blocks` stacked into one matrix: a normalized
+    three-term recurrence with per-column exponent scaling, stable past the
+    naive underflow point |x| > 38.6.  Convention: vacuum density has variance 1/2.
     """
     psi = np.empty((n_max + 1, np.size(x)), dtype=float)
-    next(_hermite_blocks(x, n_max, out=psi))  # given out, the first block is all of it
+    for n0, block in _hermite_blocks(x, n_max):
+        psi[n0 : n0 + len(block)] = block
     return psi
-
-
-def _hermite_blocks(x: np.ndarray, n_max: int, out: np.ndarray | None = None):
-    """Yield (n0, block) with block[k] = psi_{n0+k}(x), up to n0 + k = n_max.
-
-    _HERMITE_ROWS rows at a time in one reused buffer, which the next block
-    overwrites; with ``out`` (n_max + 1 rows) the one block is ``out`` itself.
-    """
-    x = np.asarray(x, dtype=float)
-    buf = np.empty((min(_HERMITE_ROWS, n_max + 1), x.size), dtype=float) if out is None else out
-    rows = len(buf)
-    half_sq = 0.5 * x * x
-    log_scale = -np.maximum(half_sq - 350.0, 0.0)
-    half_pay = np.exp(0.5 * log_scale)  # applied twice so offsets to ~ -1400 survive
-    pm1 = _PI_QUARTER * np.exp(-half_sq - log_scale)
-    p = math.sqrt(2.0) * x * pm1
-    for n0 in range(0, n_max + 1, rows):
-        block = buf[: min(rows, n_max + 1 - n0)]
-        for n, row in enumerate(block, n0):
-            if n >= 2:
-                p, pm1 = math.sqrt(2.0 / n) * x * p - math.sqrt((n - 1.0) / n) * pm1, p
-                grown = np.abs(p) > 1e250
-                if grown.any():
-                    shrink = math.exp(-500.0)
-                    p[grown] *= shrink
-                    pm1[grown] *= shrink
-                    log_scale[grown] += 500.0
-                    half_pay[grown] = np.exp(0.5 * log_scale[grown])
-            np.multiply(p if n else pm1, half_pay, out=row)
-            row *= half_pay
-        yield n0, block
 
 
 def _momentum_rotated(amp: np.ndarray) -> np.ndarray:
@@ -280,8 +248,7 @@ def quad_pdf_from_density(rho: np.ndarray, x: np.ndarray, which: str = "q") -> n
     """
     rho = np.asarray(rho, dtype=complex)
     if which == "p":
-        n = np.arange(rho.shape[0])
-        phase = (-1j) ** n
+        phase = _momentum_rotated(np.ones(rho.shape[0]))
         rho = phase[:, None] * rho * np.conj(phase)[None, :]
     psi = hermite_functions(np.asarray(x, dtype=float), rho.shape[0] - 1)
     return np.einsum("mg,mn,ng->g", psi, rho, psi, optimize=True).real

@@ -9,7 +9,9 @@ exponentials of their truncated generators, each a diagonal phase similarity
 of a real symmetric tridiagonal matrix, applied through that matrix's
 eigendecomposition: MRRR for the squeeze; for the displacement, whose matrix
 is the Hermite Jacobi matrix, Gauss-Hermite nodes and oscillator functions,
-evaluated at the non-negative nodes only.
+evaluated at the non-negative nodes only.  The oscillator functions psi_n(x)
+come from one blocked recurrence, `_hermite_blocks`, which the quadrature
+densities in `distributions` stream as well.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ CUTOFF_CAP_ENV = "TPA_CUTOFF_MAX"
 DEFAULT_CUTOFF_CAP = 4096
 
 _SQRT2 = math.sqrt(2.0)
+_PI_QUARTER = math.pi ** (-0.25)
+_HERMITE_ROWS = 64  # rows per block of the Hermite recurrence
 # Top-band population below which tail_estimate reads no tail at all: the
 # probe's amplitudes carry a roundoff floor near 1e-15 (populations ~1e-30
 # per bin), which would otherwise read as growth towards the cutoff.
@@ -72,6 +76,9 @@ class ProbeSpec:
     phi: float = 0.0
 
     def __post_init__(self):
+        for name in ("r", "phi_r", "alpha_abs", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.r >= 0.0):
             raise ValueError(f"squeezing magnitude r must be >= 0, got {self.r}")
         if not (self.alpha_abs >= 0.0):
@@ -173,6 +180,39 @@ def _phased_exp(lam: np.ndarray, vec: np.ndarray, s: float, d: complex, x: np.nd
     return phase * (u[:, 0] + 1j * u[:, 1])
 
 
+def _hermite_blocks(x: np.ndarray, n_max: int):
+    """Yield (n0, block) with block[k] = psi_{n0+k}(x), up to n0 + k = n_max.
+
+    The oscillator functions (vacuum variance 1/2) from their normalized
+    three-term recurrence, _HERMITE_ROWS rows at a time in one reused buffer
+    that the next block overwrites.  exp(-x^2/2) underflows for |x| > 38.6,
+    where psi_n can be O(1) once n > x^2/2, so each column carries a
+    log-scale offset that is paid back on output.
+    """
+    x = np.asarray(x, dtype=float)
+    buf = np.empty((min(_HERMITE_ROWS, n_max + 1), x.size), dtype=float)
+    half_sq = 0.5 * x * x
+    log_scale = -np.maximum(half_sq - 350.0, 0.0)
+    half_pay = np.exp(0.5 * log_scale)  # applied twice so offsets to ~ -1400 survive
+    pm1 = _PI_QUARTER * np.exp(-half_sq - log_scale)
+    p = _SQRT2 * x * pm1
+    for n0 in range(0, n_max + 1, len(buf)):
+        block = buf[: min(len(buf), n_max + 1 - n0)]
+        for n, row in enumerate(block, n0):
+            if n >= 2:
+                p, pm1 = math.sqrt(2.0 / n) * x * p - math.sqrt((n - 1.0) / n) * pm1, p
+                grown = np.abs(p) > 1e250
+                if grown.any():
+                    shrink = math.exp(-500.0)
+                    p[grown] *= shrink
+                    pm1[grown] *= shrink
+                    log_scale[grown] += 500.0
+                    half_pay[grown] = np.exp(0.5 * log_scale[grown])
+            np.multiply(p if n else pm1, half_pay, out=row)
+            row *= half_pay
+        yield n0, block
+
+
 def _hermite_nodes(dim: int) -> np.ndarray:
     """Gauss-Hermite nodes x_j, H_dim(x_j) = 0, ascending; cached per dim.
 
@@ -180,8 +220,6 @@ def _hermite_nodes(dim: int) -> np.ndarray:
     at a zero is sqrt(2 dim) psi_{dim-1}.  The result is exactly
     mirror-symmetric, x == -x[::-1].
     """
-    from .distributions import _hermite_blocks  # distributions imports fock
-
     x = _HERMITE_NODES.get(dim)
     if x is None:
         x = roots_hermite(dim)[0]
@@ -233,8 +271,6 @@ def apply_displacement(state: StateVector, beta: complex) -> StateVector:
     """
     if beta == 0:
         return StateVector(state.amp.copy())
-    from .distributions import _hermite_blocks  # distributions imports fock
-
     dim = state.dim
     x = _hermite_nodes(dim)[dim // 2 :]
     # V stays in the recurrence's 64-row blocks: one 16 MB matrix (dim 2001),

@@ -25,13 +25,8 @@ from .channels import (
     population_derivative,
     tpa_generator,
 )
-from .distributions import (
-    hermite_functions,
-    quad_pdf_from_density,
-    quad_pdf_pair_from_state,
-    sv_pmf_closed_form,
-)
-from .fock import ProbeSpec, apply_squeeze, make_probe_state, moments
+from .distributions import quad_pdf_from_density, quad_pdf_pair_from_state, sv_pmf_closed_form
+from .fock import ProbeSpec, _hermite_blocks, apply_squeeze, ladder_matrices, make_probe_state, moments
 from .metrology import (
     fisher_from_state,
     fisher_photon_counting,
@@ -146,24 +141,13 @@ def check_loss_trace_preservation(ctx: _Ctx) -> str:
 
 
 def check_generator_population_consistency(ctx: _Ctx) -> str:
+    pmfs = [_random_pmf(ctx.rng, 48) for _ in range(10)]
+    pmfs.append(make_probe_state(ProbeSpec.squeezed_vacuum(1.0)).populations())
     worst = 0.0
-    for _ in range(10):
-        p = _random_pmf(ctx.rng, 48)
+    for p in pmfs:
         direct = population_derivative(p)
         via_rho = np.diagonal(tpa_generator(np.diag(p.astype(complex)))).real
         worst = max(worst, float(np.max(np.abs(direct - via_rho))))
-    sv = make_probe_state(ProbeSpec.squeezed_vacuum(1.0)).populations()
-    worst = max(
-        worst,
-        float(
-            np.max(
-                np.abs(
-                    population_derivative(sv)
-                    - np.diagonal(tpa_generator(np.diag(sv.astype(complex)))).real
-                )
-            )
-        ),
-    )
     assert worst < 1e-12, f"population/generator mismatch {worst:.2e}"
     return f"max elementwise difference {worst:.2e}"
 
@@ -228,12 +212,7 @@ def check_kraus_two_mode_equivalence(ctx: _Ctx) -> str:
         raise SkipCheck("not applicable at eta = 1")
     dim_s, dim_c = 10, 12
     rho = _random_density(ctx.rng, dim_s)  # the equivalence holds for any state
-    n_s = np.arange(1, dim_s)
-    a = np.zeros((dim_s, dim_s))
-    a[n_s - 1, n_s] = np.sqrt(n_s)
-    n_c = np.arange(1, dim_c)
-    c = np.zeros((dim_c, dim_c))
-    c[n_c - 1, n_c] = np.sqrt(n_c)
+    a, c = (ladder_matrices(dim - 1)[0].real for dim in (dim_s, dim_c))
     worst = 0.0
     for eta in ctx.eta_values:
         theta = math.acos(math.sqrt(eta))
@@ -256,12 +235,11 @@ def check_kraus_two_mode_equivalence(ctx: _Ctx) -> str:
 
 def check_hermite_norms(ctx: _Ctx) -> str:
     x = np.linspace(-42.0, 42.0, 24001)
-    psi = hermite_functions(x, 512)
-    assert np.isfinite(psi).all(), "non-finite oscillator eigenfunction values"
-    # 64 rows at a time: one call would hold several temporaries the size of psi
-    norms = np.concatenate([np.trapezoid(psi[i : i + 64] ** 2, x=x, axis=1)
-                            for i in range(0, psi.shape[0], 64)])
-    worst = float(np.max(np.abs(norms - 1.0)))
+    worst = 0.0
+    for _, block in _hermite_blocks(x, 512):  # integrated as streamed, never held whole
+        assert np.isfinite(block).all(), "non-finite oscillator eigenfunction values"
+        norms = np.trapezoid(block**2, x=x, axis=1)
+        worst = max(worst, float(np.max(np.abs(norms - 1.0))))
     assert worst < 1e-8, f"norm deviation {worst:.2e}"
     return f"n <= 512, worst |norm-1| = {worst:.2e}"
 
@@ -410,7 +388,7 @@ def check_slope_sign_divergence(ctx: _Ctx) -> str:
         spec = ProbeSpec(r=r, alpha_abs=alpha, phi=math.pi / 2)
         state = make_probe_state(spec)
         _, dpdf = quad_pdf_pair_from_state(state, LossSpec(1.0), "p")
-        slopes.append(float(np.trapezoid(dpdf.grid * dpdf.density, dx=dpdf.dq)))
+        slopes.append(dpdf.mean())
     signs = np.sign(slopes)
     assert signs.min() < 0 < signs.max(), f"no slope sign change: {slopes}"
     flip = int(np.argmax(signs != signs[0]))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tpa_metrology import distributions
+from tpa_metrology import distributions, fock
 from tpa_metrology.channels import LossSpec, loss_channel, tpa_generator
 from tpa_metrology.distributions import (
     Pmf,
@@ -187,11 +187,11 @@ class TestHermiteBlocks:
         # |x| up to 45 reaches past 38.6, where the per-column rescaling acts
         x = np.linspace(-45.0, 45.0, 181)
         starts, blocks = [], []
-        for n0, block in distributions._hermite_blocks(x, n_max):
-            assert 1 <= len(block) <= distributions._HERMITE_ROWS
+        for n0, block in fock._hermite_blocks(x, n_max):
+            assert 1 <= len(block) <= fock._HERMITE_ROWS
             starts.append(n0)
             blocks.append(block.copy())
-        assert starts == list(range(0, n_max + 1, distributions._HERMITE_ROWS))
+        assert starts == list(range(0, n_max + 1, fock._HERMITE_ROWS))
         whole = np.concatenate(blocks)
         assert np.array_equal(whole, hermite_functions(x, n_max))
         assert np.array_equal(whole, dense_hermite_recurrence(x, n_max))

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -73,6 +75,12 @@ class TestProbeSpec:
             ProbeSpec(r=-0.1)
         with pytest.raises(ValueError):
             ProbeSpec(alpha_abs=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["r", "phi_r", "alpha_abs", "phi"])
+    def test_rejects_non_finite_fields_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ProbeSpec(**{field: value})
 
     def test_vacuum_flag(self):
         assert ProbeSpec.vacuum().is_vacuum
@@ -353,3 +361,14 @@ class TestMoments:
                 got = moments(make_probe_state(spec)).mean_n
                 want = spec.mean_photon_number()
                 assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+def test_fock_imports_nothing_from_distributions():
+    # distributions builds on fock's Hermite kernel; an import back would be a cycle
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fock))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not [name for name in names if "distributions" in name]

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import tpa_metrology
 from tpa_metrology.cli import main
 from tpa_metrology.metrology import OBSERVABLES
 from tpa_metrology.sweeps import SweepConfig, load_sweep_config, resolve_point, run_sweep
@@ -371,7 +372,7 @@ class TestCli:
         rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert [row[3] for row in rows[1:]] == ["divergent", "0.5"]
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "1e308"])
     @pytest.mark.parametrize(
         "base, flag",
         [
@@ -412,7 +413,9 @@ class TestCli:
         assert main(["sweep", str(path)]) == 1
 
     def test_numerical_violation_is_exit_two(self, tmp_path):
-        env = dict(os.environ, TPA_CUTOFF_MAX="32")
+        # the child imports the package this process imported, installed or from src/
+        src = os.path.dirname(os.path.dirname(tpa_metrology.__file__))
+        env = dict(os.environ, TPA_CUTOFF_MAX="32", PYTHONPATH=src)
         proc = subprocess.run(
             [
                 sys.executable,

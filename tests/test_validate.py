@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tpa_metrology.fock import StateVector
 from tpa_metrology.validate import (
     CHECKS,
+    _Ctx,
+    check_hermite_norms,
     first_order_gradient_check,
     report_dict,
     run_validate,
@@ -92,3 +96,16 @@ def test_report_dict_shape():
 def test_registry_covers_all_modules():
     names = set(CHECKS)
     assert {"norm-preservation", "hermite-norms", "cramer-rao-ordering", "sweep-determinism"} <= names
+
+
+def test_hermite_norms_never_holds_the_whole_matrix():
+    # the 513 x 24001 matrix of oscillator functions alone is 98.5e6 bytes;
+    # streamed 64-row blocks and their integration temporaries peak near 50e6
+    ctx = _Ctx(eta_values=(1.0,), loss_checks_apply=False, rng=np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        check_hermite_norms(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
