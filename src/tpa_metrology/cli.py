@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .channels import LossSpec
 from .exceptions import GridError, TruncationError
-from .fock import ProbeSpec, make_probe_state
+from .fock import DEFAULT_TAIL_TOL, ProbeSpec, make_probe_state
 from .metrology import OBSERVABLES, fisher_from_state, sensitivity_analytic, sensitivity_from_state
 from .sweeps import (
     STATE_FAMILIES,
@@ -71,7 +71,7 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
         type=_checked("nbar"),
         help="incident mean photon number (instead of --r for sv, --alpha otherwise)",
     )
-    parser.add_argument("--tail-tol", type=_checked("tail_tol"), default=1e-10)
+    parser.add_argument("--tail-tol", type=_checked("tail_tol"), default=DEFAULT_TAIL_TOL)
 
 
 def _probe_from_args(args) -> tuple[ProbeSpec, LossSpec]:
@@ -173,7 +173,7 @@ def build_parser() -> _Parser:
     p.add_argument("--observable", default="photon_number", choices=OBSERVABLES)
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--output", default="phase_scan.csv")
-    p.add_argument("--tail-tol", type=_checked("tail_tol"), default=1e-10)
+    p.add_argument("--tail-tol", type=_checked("tail_tol"), default=DEFAULT_TAIL_TOL)
     p.set_defaults(func=_cmd_scan, axis="phi", min_points=2, fixed=("nbar", "r", "eta"))
 
     p = sub.add_parser(

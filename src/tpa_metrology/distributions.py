@@ -22,7 +22,7 @@ from .channels import LossSpec, apply_binomial_loss, population_derivative
 from .exceptions import GridError
 # make_probe_state is not called here; it stays importable from this module
 # because the benchmark's tracer self-test (bench/selftest.py) reads it.
-from .fock import StateVector, _hermite_blocks, make_probe_state, moments  # noqa: F401
+from .fock import StateVector, _hermite_blocks, initial_cutoff, make_probe_state, moments  # noqa: F401
 
 _NEG_CLIP = -1e-12
 # Quadrature output grid: uniform points over |mean| + span * sigma of the
@@ -112,7 +112,7 @@ def coherent_pmf(nbar: float, n_max: int) -> Pmf:
 def pmf_auto_cutoff(kind: str, nbar: float, tail_tol: float = 1e-12) -> int:
     """Smallest power-of-two-ish n_max with closed-form pmf tail below tail_tol."""
     builder = sv_pmf_closed_form if kind == "sv" else coherent_pmf
-    n_max = max(64, int(4 * nbar) + 50)
+    n_max = initial_cutoff(nbar)
     while True:
         pmf = builder(nbar, n_max)
         if 1.0 - pmf.total() <= tail_tol:

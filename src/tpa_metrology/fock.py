@@ -42,10 +42,8 @@ _TAIL_FLOOR = 1e-20
 _HERMITE_NODES: dict[int, np.ndarray] = {}  # refined Gauss-Hermite nodes per dimension
 
 
-def cutoff_cap(explicit: int | None = None) -> int:
-    """Largest admissible n_max: explicit argument, else TPA_CUTOFF_MAX, else 4096."""
-    if explicit is not None:
-        return int(explicit)
+def cutoff_cap() -> int:
+    """Largest n_max the adaptive cutoff may reach: TPA_CUTOFF_MAX, else 4096."""
     env = os.environ.get(CUTOFF_CAP_ENV)
     if env is not None:
         try:
@@ -320,14 +318,15 @@ def initial_cutoff(nbar: float) -> int:
 def tail_estimate(populations: np.ndarray) -> float:
     """Conservative estimate of the population truncated beyond the cutoff.
 
-    Uses geometric extrapolation of the two top index bands; returns inf when
-    the populations still grow towards the cutoff, and 0 when the top band
-    sums to at most ``_TAIL_FLOOR`` (1e-20).
+    Uses geometric extrapolation of the two top index bands, each at least two
+    indices wide so that it spans both parities (a squeezed vacuum fills only
+    the even ones); returns inf when the populations still grow towards the
+    cutoff, and 0 when the top band sums to at most ``_TAIL_FLOOR`` (1e-20).
     """
     dim = populations.size
     w = max(16, dim // 32)
     if dim < 2 * w + 1:
-        w = max(1, dim // 4)
+        w = max(2, dim // 4)
     b1 = float(populations[-2 * w : -w].sum())
     b2 = float(populations[-w:].sum())
     if b2 <= _TAIL_FLOOR:
@@ -343,33 +342,24 @@ def make_probe_state(
     cutoff: int | None = None,
     *,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    max_n: int | None = None,
 ) -> StateVector:
     """Construct S(zeta) D(alpha) |0> in a truncated Fock basis.
 
-    With an explicit ``cutoff`` (the highest retained Fock index) the state is
-    built once and rejected if the estimated truncated population exceeds
-    ``tail_tol``.  Otherwise the cutoff starts at max(4 <n> + 50, 64) and
-    doubles until the tail estimate drops below ``tail_tol``, up to the cap
-    (TPA_CUTOFF_MAX, default 4096).
+    The cutoff n_max (the highest retained Fock index) starts at
+    `initial_cutoff` and doubles until the tail estimate drops below
+    ``tail_tol``, up to `cutoff_cap` (TPA_CUTOFF_MAX, default 4096).  A fixed
+    ``cutoff`` is both the start and the cap: the state is built once and
+    rejected with `TruncationError` if its tail estimate exceeds ``tail_tol``.
     """
-    if cutoff is not None:
-        if spec.is_vacuum:
-            amp = np.zeros(cutoff + 1, dtype=complex)
-            amp[0] = 1.0
-            return StateVector(amp)
-        if cutoff < 2:
-            raise TruncationError("non-vacuum probes need n_max >= 2")
-        amp = _build_probe(spec, cutoff)
-        est = tail_estimate(np.abs(amp) ** 2)
-        if est > tail_tol:
-            raise TruncationError(
-                f"tail population ~{est:.3e} exceeds tail_tol={tail_tol:.1e} at n_max={cutoff}"
-            )
-        return StateVector(amp)
-
-    cap = cutoff_cap(max_n)
-    n_max = min(initial_cutoff(spec.mean_photon_number()), cap)
+    if cutoff is None:
+        cap = cutoff_cap()
+        n_max = min(initial_cutoff(spec.mean_photon_number()), cap)
+    else:
+        n_max = cap = cutoff
+    if spec.is_vacuum:
+        return StateVector(_build_probe(spec, n_max))
+    if n_max < 2:
+        raise TruncationError("non-vacuum probes need n_max >= 2")
     first_guess = n_max
     while True:
         amp = _build_probe(spec, n_max)
@@ -377,10 +367,10 @@ def make_probe_state(
         if est <= tail_tol:
             break
         if n_max >= cap:
-            raise TruncationError(
-                f"tail population ~{est:.3e} exceeds tail_tol={tail_tol:.1e} "
-                f"at the cutoff cap n_max={cap}; raise {CUTOFF_CAP_ENV} or loosen tail_tol"
-            )
+            where = f"n_max={cap}"
+            if cutoff is None:
+                where = f"the cutoff cap {where}; raise {CUTOFF_CAP_ENV} or loosen tail_tol"
+            raise TruncationError(f"tail population ~{est:.3e} exceeds tail_tol={tail_tol:.1e} at {where}")
         n_max = min(2 * n_max, cap)
     if n_max > 8 * first_guess:
         warnings.warn(
@@ -414,16 +404,19 @@ def _vector_moments(amp: np.ndarray) -> Moments:
     return _quad_moments(mean_n, var_n, ea, ea2)
 
 
-def _matrix_moments(rho: np.ndarray) -> Moments:
-    dim = rho.shape[0]
-    n = np.arange(dim, dtype=float)
+def _matrix_sums(rho: np.ndarray) -> tuple[float, float, complex, complex]:
+    """tr(rho n), tr(rho n^2), tr(rho a), tr(rho a^2): linear in rho, so also for a traceless drho."""
+    n = np.arange(rho.shape[0], dtype=float)
     diag = np.diagonal(rho).real
-    mean_n = float(np.dot(n, diag))
-    var_n = float(np.dot(n * n, diag)) - mean_n**2
     # tr(rho a) picks the first subdiagonal, tr(rho a^2) the second.
     ea = complex(np.sum(np.sqrt(n[1:]) * np.diagonal(rho, -1)))
     ea2 = complex(np.sum(np.sqrt(n[2:] * (n[2:] - 1.0)) * np.diagonal(rho, -2)))
-    return _quad_moments(mean_n, var_n, ea, ea2)
+    return float(np.dot(n, diag)), float(np.dot(n * n, diag)), ea, ea2
+
+
+def _matrix_moments(rho: np.ndarray) -> Moments:
+    mean_n, mean_n2, ea, ea2 = _matrix_sums(rho)
+    return _quad_moments(mean_n, mean_n2 - mean_n**2, ea, ea2)
 
 
 def _quad_moments(mean_n: float, var_n: float, ea: complex, ea2: complex) -> Moments:

@@ -299,7 +299,7 @@ def squeeze_scan(
     loss: LossSpec,
     phi: float = math.pi / 2.0,
     n_r_values: np.ndarray | None = None,
-    tail_tol: float = 1e-10,
+    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Photon-counting FI vs n_r at fixed incident <n>, amplitude adjusted per point.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .channels import LossSpec, _reused_band
-from .fock import ProbeSpec, initial_cutoff, make_probe_state
+from .fock import DEFAULT_TAIL_TOL, ProbeSpec, initial_cutoff, make_probe_state
 from .metrology import (
     OBSERVABLES,
     amplitude_for_mean_n,
@@ -66,7 +66,7 @@ class SweepConfig:
     axis_values: tuple[float, ...]
     fixed_params: dict[str, float] = field(default_factory=dict)
     output_path: str = "sweep.csv"
-    tail_tol: float = 1e-10
+    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if self.state_family not in STATE_FAMILIES:
@@ -241,5 +241,5 @@ def load_sweep_config(
         axis_values=values,
         fixed_params=fixed,
         output_path=output or sweep.get("output", "sweep.csv"),
-        tail_tol=sweep.get("tail_tol", 1e-10),
+        tail_tol=sweep.get("tail_tol", DEFAULT_TAIL_TOL),
     )

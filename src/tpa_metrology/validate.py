@@ -26,7 +26,16 @@ from .channels import (
     tpa_generator,
 )
 from .distributions import quad_pdf_from_density, quad_pdf_pair_from_state, sv_pmf_closed_form
-from .fock import ProbeSpec, _hermite_blocks, apply_squeeze, ladder_matrices, make_probe_state, moments
+from .fock import (
+    DEFAULT_TAIL_TOL,
+    ProbeSpec,
+    _hermite_blocks,
+    _matrix_sums,
+    apply_squeeze,
+    ladder_matrices,
+    make_probe_state,
+    moments,
+)
 from .metrology import (
     fisher_from_state,
     fisher_photon_counting,
@@ -77,15 +86,15 @@ def _random_pmf(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def check_norm_preservation(ctx: _Ctx) -> str:
     cases = [
-        (ProbeSpec.coherent(10.0), 1e-10, None),
-        (ProbeSpec(r=1.0, alpha_abs=1.0, phi=math.pi / 4), 1e-10, None),
-        (ProbeSpec(r=1.5, alpha_abs=3.0, phi=math.pi / 2), 1e-10, None),
-        # n_r ~ 100: the 1e-10 tail needs n_max ~ 4600, so relax within the cap
-        (ProbeSpec.squeezed_vacuum(3.0), 1e-9, 8192),
+        (ProbeSpec.coherent(10.0), DEFAULT_TAIL_TOL),
+        (ProbeSpec(r=1.0, alpha_abs=1.0, phi=math.pi / 4), DEFAULT_TAIL_TOL),
+        (ProbeSpec(r=1.5, alpha_abs=3.0, phi=math.pi / 2), DEFAULT_TAIL_TOL),
+        # n_r ~ 100: the default tail_tol needs n_max ~ 4600; 1e-9 is met within the default cap
+        (ProbeSpec.squeezed_vacuum(3.0), 1e-9),
     ]
     worst = 0.0
-    for spec, tol, cap in cases:
-        state = make_probe_state(spec, tail_tol=tol, max_n=cap)
+    for spec, tol in cases:
+        state = make_probe_state(spec, tail_tol=tol)
         dev = abs(state.norm() - 1.0)
         assert dev < tol, f"norm deviation {dev:.2e} > {tol:.0e} for {spec}"
         worst = max(worst, dev)
@@ -293,10 +302,7 @@ def check_pdf_derivative_consistency(ctx: _Ctx) -> str:
     worst = 0.0
     for eta in ctx.eta_values:
         drho_lossy = loss_channel(drho, LossSpec(eta)) if eta < 1.0 else drho
-        dim = drho_lossy.shape[0]
-        n = np.arange(dim, dtype=float)
-        ea2 = complex(np.sum(np.sqrt(n[2:] * (n[2:] - 1.0)) * np.diagonal(drho_lossy, -2)))
-        dn = float(np.dot(n, np.diagonal(drho_lossy).real))
+        dn, _, _, ea2 = _matrix_sums(drho_lossy)
         d_q2 = ea2.real + dn  # d<q^2>/d eps = Re tr(a^2 drho) + tr(n drho)
         d_p2 = -ea2.real + dn
         for which, ref in (("q", d_q2), ("p", d_p2)):

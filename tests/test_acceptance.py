@@ -103,13 +103,15 @@ def test_criterion_4_coherent_fi_equals_mean_information():
     report(4, dev < 0.05, f"|FI * deps2 - 1| = {dev:.4f} at nbar=10, eta=0.5")
 
 
-def test_criterion_5_quadrature_scaling():
+def test_criterion_5_quadrature_scaling(monkeypatch):
+    # the 1024 cap decides the cutoff of 4 of the 10 probes
+    monkeypatch.setenv("TPA_CUTOFF_MAX", "1024")
     t0 = time.monotonic()
     ns_p = np.array([5.0, 7.0, 10.0, 14.0, 20.0])
     fi_p = np.array(
         [
             fisher_from_state(
-                make_probe_state(sv_spec(n), tail_tol=1e-9, max_n=1024), LossSpec(1.0), "quad_p"
+                make_probe_state(sv_spec(n), tail_tol=1e-9), LossSpec(1.0), "quad_p"
             ).fi
             for n in ns_p
         ]
@@ -121,7 +123,7 @@ def test_criterion_5_quadrature_scaling():
     fi_q = np.array(
         [
             fisher_from_state(
-                make_probe_state(sv_spec(n), tail_tol=1e-5, max_n=1024), LossSpec(0.5), "quad_q"
+                make_probe_state(sv_spec(n), tail_tol=1e-5), LossSpec(0.5), "quad_q"
             ).fi
             for n in ns_q
         ]

@@ -144,6 +144,13 @@ class TestMakeProbeState:
         with pytest.raises(TruncationError):
             make_probe_state(ProbeSpec.squeezed_vacuum(2.0), 16)
 
+    @pytest.mark.parametrize("cutoff", range(2, 8))
+    def test_small_cutoff_tail_spans_both_parities(self, cutoff):
+        # a squeezed vacuum fills only even indices: a one-index top band on an
+        # odd index read as no tail and let these truncated states through
+        with pytest.raises(TruncationError):
+            make_probe_state(ProbeSpec.squeezed_vacuum(2.0), cutoff)
+
     def test_fixed_cutoff_checked_against_tail_tol(self):
         # the one tail_tol bounds a fixed cutoff as it does the adaptive one
         spec = ProbeSpec(r=0.8, alpha_abs=1.2, phi=0.4)
@@ -151,9 +158,25 @@ class TestMakeProbeState:
         with pytest.raises(TruncationError):
             make_probe_state(spec, 64)
 
-    def test_auto_cutoff_unreachable(self):
-        with pytest.raises(TruncationError):
-            make_probe_state(ProbeSpec.squeezed_vacuum(2.5), max_n=64)
+    def test_auto_cutoff_unreachable(self, monkeypatch):
+        monkeypatch.setenv("TPA_CUTOFF_MAX", "64")
+        with pytest.raises(TruncationError, match="TPA_CUTOFF_MAX"):
+            make_probe_state(ProbeSpec.squeezed_vacuum(2.5))
+
+    def test_fixed_cutoff_is_its_own_cap(self, monkeypatch):
+        # a fixed cutoff is built once at that size, whatever TPA_CUTOFF_MAX says
+        monkeypatch.setenv("TPA_CUTOFF_MAX", "abc")
+        spec = ProbeSpec.squeezed_vacuum(0.5)
+        assert make_probe_state(spec, 100).n_max == 100
+        with pytest.raises(TruncationError) as err:
+            make_probe_state(ProbeSpec.squeezed_vacuum(2.5), 64)
+        assert "TPA_CUTOFF_MAX" not in str(err.value)
+
+    def test_vacuum_at_any_cutoff(self):
+        # the n_max >= 2 rule is for non-vacuum probes only
+        for cutoff in (0, 1, 5):
+            state = make_probe_state(ProbeSpec.vacuum(), cutoff)
+            assert state.n_max == cutoff and state.populations()[0] == 1.0
 
     def test_norm_within_tail_tol(self):
         for spec in (

@@ -341,6 +341,14 @@ class TestCli:
         assert main(argv) == 1
         assert "TPA_CUTOFF_MAX" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["1", "3", "5"])
+    def test_tiny_cutoff_cap_is_a_contract_violation(self, cap, monkeypatch, capsys):
+        # a squeezed vacuum truncated this low must exit 2, not print its FI
+        monkeypatch.setenv("TPA_CUTOFF_MAX", cap)
+        argv = ["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "10", "--eta", "0.5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
     def test_smallest_normal_eta_does_not_raise(self, capsys):
         # binom.pmf raises OverflowError at this eta inside the thinning band
         argv = ["fisher", "--state", "sv", "--observable", "photon_number", "--nbar", "1",

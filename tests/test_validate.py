@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tpa_metrology.fock import StateVector
+from tpa_metrology.fock import StateVector, cutoff_cap
 from tpa_metrology.validate import (
     CHECKS,
     _Ctx,
@@ -19,6 +19,13 @@ def test_analytic_numeric_agreement_builds_each_probe_once(probe_builds):
     (res,) = run_validate(checks=["analytic-numeric-agreement"])
     assert res.status == "pass"
     assert len(probe_builds) == 36
+
+
+def test_norm_preservation_stays_within_the_cutoff_cap(probe_builds):
+    (res,) = run_validate(checks=["norm-preservation"])
+    assert res.status == "pass"
+    assert len(probe_builds) == 4
+    assert all(state.n_max <= cutoff_cap() for state in probe_builds)
 
 
 def test_non_finite_densities_fail_their_checks():
