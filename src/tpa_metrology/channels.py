@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix
-from scipy.stats import binom
+from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special._ufuncs import _binom_pmf as _boost_binom_pmf
 
 # Half width of the thinning band in column m: 14 sigma_m + 40 with
 # sigma_m^2 = m eta (1 - eta).  Bernstein's inequality for a sum of m
@@ -71,12 +72,23 @@ def population_derivative(pmf: np.ndarray) -> np.ndarray:
     return out
 
 
+def _binom_logpmf(n: np.ndarray, m: np.ndarray, eta: float) -> np.ndarray:
+    """log C(m, n) eta^n (1-eta)^(m-n) for 0 <= n <= m, summed in scipy.stats.binom.logpmf's order."""
+    return gammaln(m + 1) - (gammaln(n + 1) + gammaln(m - n + 1)) + xlogy(n, eta) + xlog1py(m - n, -eta)
+
+
 def _binom_pmf(n: np.ndarray, m: np.ndarray, eta: float) -> np.ndarray:
-    """binom.pmf(n, m, eta), through logpmf where pmf overflows (eta near 1e-308)."""
+    """C(m, n) eta^n (1-eta)^(m-n) for 0 <= n <= m, bit for bit scipy.stats.binom.pmf.
+
+    That is the Boost kernel binom.pmf calls, clipped to [0, 1] as
+    rv_discrete.pmf clips it (unclipped, it reads 1 + 6e-15 at n = 0 for
+    some eta below 1e-21).  Where the kernel overflows (eta near 1e-308) it
+    raises OverflowError, and the logpmf is exponentiated instead.
+    """
     try:
-        return binom.pmf(n, m, eta)
+        return np.clip(_boost_binom_pmf(n, m, eta), 0.0, 1.0)
     except OverflowError:
-        return np.exp(binom.logpmf(n, m, eta))
+        return np.exp(_binom_logpmf(n, m, eta))
 
 
 def loss_channel(rho: np.ndarray, loss: LossSpec) -> np.ndarray:
@@ -125,9 +137,9 @@ def _band_arrays(size: int, eta: float) -> tuple[tuple[np.ndarray, np.ndarray, n
     Column m depends on (m, eta) alone, so the band at any size is the
     leading block of the band at a larger one, with the same entries in the
     same order.  Not so where a block of columns fell back to logpmf (eta
-    near 1e-308, where binom.pmf is also off by ~3e-14 in columns it does not
-    overflow): whether a block overflows depends on where the band ends, so
-    such a band is reported as not reusable.
+    near 1e-308, where the pmf kernel of `_binom_pmf` is also off by ~3e-14
+    in columns it does not overflow): whether a block overflows depends on
+    where the band ends, so such a band is reported as not reusable.
     """
     m = np.arange(size)
     width = _BAND_SIGMAS * np.sqrt(m * (eta * (1.0 - eta))) + _BAND_PAD
@@ -148,9 +160,9 @@ def _band_arrays(size: int, eta: float) -> tuple[tuple[np.ndarray, np.ndarray, n
         rows = np.arange(indptr[c0], indptr[c1]) - np.repeat(indptr[c0:c1] - lo[c0:c1], counts[c0:c1])
         indices[cells] = rows
         try:
-            data[cells] = binom.pmf(rows, cols, eta)
+            data[cells] = np.clip(_boost_binom_pmf(rows, cols, eta), 0.0, 1.0)
         except OverflowError:  # see _binom_pmf
-            data[cells] = np.exp(binom.logpmf(rows, cols, eta))
+            data[cells] = np.exp(_binom_logpmf(rows, cols, eta))
             reusable = False
         c0 = c1
     return (data, indices, indptr), reusable
@@ -159,7 +171,8 @@ def _band_arrays(size: int, eta: float) -> tuple[tuple[np.ndarray, np.ndarray, n
 def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:
     """Binomial-thinning linear map on a photon-count vector (need not be a pmf).
 
-    out[n] = sum_m binom.pmf(n, m, eta) vec[m].  A 2-D ``vec`` is thinned
+    out[n] = sum_m C(m, n) eta^n (1-eta)^(m-n) vec[m], with the weights of
+    `_binom_pmf` (scipy.stats.binom.pmf bit for bit).  A 2-D ``vec`` is thinned
     column by column, so a stacked (P, dP) pair pays for one map.  Column m
     keeps only the band |n - eta m| <= 14 sigma_m + 40, O(N sigma) pmf
     evaluations in all; the dropped entries weigh < 1e-25 of each column.

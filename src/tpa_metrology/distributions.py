@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, xlogy
 
 from .channels import LossSpec, apply_binomial_loss, population_derivative
 from .exceptions import GridError
@@ -103,10 +102,15 @@ def sv_pmf_closed_form(nbar: float, n_max: int) -> Pmf:
 
 
 def coherent_pmf(nbar: float, n_max: int) -> Pmf:
-    """Poisson photon distribution with mean nbar."""
+    """Poisson photon distribution with mean nbar, bit for bit scipy.stats.poisson.pmf.
+
+    That is exp(k log nbar - log k! - nbar), clipped to [0, 1] as
+    rv_discrete.pmf clips it.
+    """
     if nbar < 0.0:
         raise ValueError("nbar must be nonnegative")
-    return Pmf(poisson.pmf(np.arange(n_max + 1), nbar))
+    k = np.arange(n_max + 1)
+    return Pmf(np.clip(np.exp(xlogy(k, nbar) - gammaln(k + 1) - nbar), 0.0, 1.0))
 
 
 def pmf_auto_cutoff(kind: str, nbar: float, tail_tol: float = 1e-12) -> int:

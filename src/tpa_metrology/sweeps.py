@@ -109,9 +109,12 @@ def resolve_point(family: str, params: dict[str, float]) -> tuple[ProbeSpec, Los
     squeezed_coherent one of r, n_r and one of alpha, nbar (|alpha| is then
     set so that the incident <n> is nbar).  phi (default 0) is the seed
     phase and eta (default 1) the transmission; every value read is checked.
+    OverflowError names the amplitude inputs whose incident <n> or starting
+    Fock cutoff exceeds the largest double.
     """
     eta = check_input("eta", params.get("eta", 1.0))
     phi = check_input("phi", params.get("phi", 0.0))
+    amplitudes: list[str] = []
 
     def one_of(*keys: str) -> tuple[str, float]:
         given = [k for k in keys if k in params]
@@ -120,21 +123,30 @@ def resolve_point(family: str, params: dict[str, float]) -> tuple[ProbeSpec, Los
                 f"{family} probe needs exactly one of {', '.join(keys)}; "
                 f"got {', '.join(given) if given else 'none'}"
             )
-        return given[0], check_input(given[0], params[given[0]])
+        value = check_input(given[0], params[given[0]])
+        amplitudes.append(f"{given[0]}={value!r}")
+        return given[0], value
 
     def squeezing(key: str, value: float) -> float:
         return value if key == "r" else math.asinh(math.sqrt(value))
 
-    if family == "sv":
-        return ProbeSpec.squeezed_vacuum(squeezing(*one_of("nbar", "r", "n_r"))), LossSpec(eta)
-    if family == "coherent":
-        key, value = one_of("nbar", "alpha")
-        alpha = value if key == "alpha" else math.sqrt(value)
-        return ProbeSpec.coherent(alpha, phi), LossSpec(eta)
-    r = squeezing(*one_of("r", "n_r"))
-    key, value = one_of("alpha", "nbar")
-    alpha = value if key == "alpha" else amplitude_for_mean_n(value, math.sinh(r) ** 2, phi)
-    return ProbeSpec(r=r, alpha_abs=alpha, phi=phi), LossSpec(eta)
+    try:
+        if family == "sv":
+            spec = ProbeSpec.squeezed_vacuum(squeezing(*one_of("nbar", "r", "n_r")))
+        elif family == "coherent":
+            key, value = one_of("nbar", "alpha")
+            spec = ProbeSpec.coherent(value if key == "alpha" else math.sqrt(value), phi)
+        else:
+            r = squeezing(*one_of("r", "n_r"))
+            key, value = one_of("alpha", "nbar")
+            alpha = value if key == "alpha" else amplitude_for_mean_n(value, math.sinh(r) ** 2, phi)
+            spec = ProbeSpec(r=r, alpha_abs=alpha, phi=phi)
+        initial_cutoff(spec.mean_photon_number())
+    except OverflowError:
+        raise OverflowError(
+            f"{', '.join(amplitudes)}: the incident <n> or its Fock cutoff exceeds the largest double"
+        ) from None
+    return spec, LossSpec(eta)
 
 
 def _fmt(x: float) -> str:

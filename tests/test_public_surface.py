@@ -7,10 +7,15 @@ without failing any other test.
 """
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import tpa_metrology
 
 SURFACE = {
     "tpa_metrology": (
@@ -81,3 +86,13 @@ def test_probe_constructors_resolve():
 
     assert ProbeSpec.coherent(1.0).alpha_abs == 1.0
     assert ProbeSpec.squeezed_vacuum(0.5).r == 0.5
+
+
+@pytest.mark.parametrize("module", ["tpa_metrology", "tpa_metrology.cli"])
+def test_import_leaves_out_scipy_stats(module):
+    # scipy.stats takes about half a second to import, and every CLI run pays it
+    src = os.path.dirname(os.path.dirname(tpa_metrology.__file__))
+    code = f"import sys, {module}; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -405,6 +405,13 @@ class TestCli:
             argv += [flag, value]
         assert main(argv) in (0, 1, 2)
 
+    @pytest.mark.parametrize("flags, named", [(["--state", "sv", "--r", "400"], "r=400.0"),
+                                              (["--state", "coherent", "--alpha", "1e200"], "alpha=1e+200")])
+    def test_overflowing_input_is_named(self, flags, named, capsys):
+        assert main(["fisher", "--observable", "photon_number", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "numerical contract violation" in err and named in err
+
     @pytest.mark.parametrize("observable", ["photon_number", "quad_q"])
     @pytest.mark.parametrize("command", ["fisher", "sensitivity"])
     def test_fisher_builds_the_probe_once(self, command, observable, probe_builds, capsys):

@@ -1,4 +1,4 @@
-"""The banded binomial-thinning kernel against the dense binom.pmf matrix."""
+"""The banded binomial-thinning kernel against scipy.stats: its weights and the dense binom.pmf matrix."""
 
 import tracemalloc
 
@@ -7,13 +7,20 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.stats import binom
+from scipy.stats import binom, poisson
 
 from tpa_metrology import channels
 from tpa_metrology.channels import apply_binomial_loss, population_derivative
 from tpa_metrology.distributions import coherent_pmf, pmf_auto_cutoff, sv_pmf_closed_form
 from tpa_metrology.metrology import fisher_discrete
 from tpa_metrology.sweeps import SweepConfig, run_sweep
+
+
+def _scipy_binom_pmf(n, m, eta):
+    try:
+        return binom.pmf(n, m, eta)
+    except OverflowError:  # eta near the smallest normal double
+        return np.exp(binom.logpmf(n, m, eta))
 
 
 def dense_thin(vec, eta, chunk=1024):
@@ -26,11 +33,7 @@ def dense_thin(vec, eta, chunk=1024):
     out = np.empty(v.shape)
     for start in range(0, size, chunk):
         rows = np.arange(start, min(start + chunk, size))
-        try:
-            weights = binom.pmf(rows[:, None], m[None, :], eta)
-        except OverflowError:  # eta near the smallest normal double
-            weights = np.exp(binom.logpmf(rows[:, None], m[None, :], eta))
-        out[rows] = weights @ v
+        out[rows] = _scipy_binom_pmf(rows[:, None], m[None, :], eta) @ v
     return out
 
 
@@ -61,6 +64,29 @@ def test_banded_matches_dense(v, eta):
     gamma_n = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     bound = (2.0 * gamma_n + 1e-25) * np.abs(v).sum(axis=0)
     assert np.all(np.abs(banded - dense_thin(v, eta)) <= bound)
+
+
+@settings(deadline=None)
+@given(size=st.integers(1, 4096), eta=_ETAS)
+# unclipped, the pmf kernel reads 1 + 6e-15 at n = 0 for this eta
+@example(size=600, eta=9.772411357992438e-218)
+# the pmf kernel raises OverflowError at this eta, so both routes take logpmf
+@example(size=300, eta=2.2250738585072014e-308)
+@example(size=4096, eta=5e-324)
+def test_weights_equal_scipy_stats_bit_for_bit(size, eta):
+    (data, indices, indptr), _ = channels._band_arrays(size, eta)
+    cols = np.repeat(np.arange(size), np.diff(indptr))
+    assert np.array_equal(data, _scipy_binom_pmf(indices, cols, eta))
+    m = np.repeat(np.arange(min(size, 200)), np.arange(1, min(size, 200) + 1))
+    n = np.concatenate([np.arange(j + 1) for j in range(min(size, 200))])
+    assert np.array_equal(channels._binom_pmf(n, m, eta), _scipy_binom_pmf(n, m, eta))
+    # the overflow fallback's log weights, here at every eta
+    assert np.array_equal(channels._binom_logpmf(n, m, eta), binom.logpmf(n, m, eta))
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1e-300, 0.5, 12.7, 50.0, 1000.0])
+def test_coherent_pmf_equals_scipy_stats_bit_for_bit(nbar):
+    assert np.array_equal(coherent_pmf(nbar, 4499).p, poisson.pmf(np.arange(4500), nbar))
 
 
 @pytest.mark.filterwarnings("ignore::tpa_metrology.exceptions.IllConditionedBinWarning")
