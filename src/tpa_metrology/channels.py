@@ -16,6 +16,8 @@ from scipy.sparse import csc_matrix
 from scipy.special import gammaln, xlog1py, xlogy
 from scipy.special._ufuncs import _binom_pmf as _boost_binom_pmf
 
+from . import fock
+
 # Half width of the thinning band in column m: 14 sigma_m + 40 with
 # sigma_m^2 = m eta (1 - eta).  Bernstein's inequality for a sum of m
 # Bernoulli(eta) terms, P(|X - m eta| >= t) <= 2 exp(-t^2 / (2 sigma^2 + 2t/3)),
@@ -27,7 +29,7 @@ _BAND_PAD = 40.0
 # The band is filled a block of whole columns of about this many cells at a
 # time, so its index and pmf temporaries stay small next to the matrix.
 _BLOCK_CELLS = 65536
-# Inside a `_reused_band` scope: the one band kept, as {"eta", "size",
+# Inside a `_scan_scope`: the one band kept, as {"eta", "size",
 # "arrays": (data, indices, indptr)}, or {} before the first thinning.
 _held_band: dict | None = None
 
@@ -113,22 +115,26 @@ def loss_channel(rho: np.ndarray, loss: LossSpec) -> np.ndarray:
 
 
 @contextmanager
-def _reused_band():
-    """Within the scope, apply_binomial_loss keeps one band for reuse at the same eta.
+def _scan_scope():
+    """Within the scope, a scan reuses what its points would otherwise rebuild.
 
-    A call at the held eta and at most the held size thins with the band's
-    leading block; any other call drops the held band before it builds and
-    keeps its own.  The band is released when the (outermost) scope exits.
+    apply_binomial_loss keeps one band: a call at the held eta and at most
+    the held size thins with the band's leading block; any other call drops
+    the held band before it builds and keeps its own.  fock.apply_squeeze
+    keeps every eigendecomposition it computes, one per (parity, size).
+    Both are released when the (outermost) scope exits, also on an error.
     """
     global _held_band
-    if _held_band is not None:  # nested: the outer scope owns the band
+    if _held_band is not None:  # nested: the outer scope owns what is held
         yield
         return
     _held_band = {}
+    fock._held_squeezes = {}
     try:
         yield
     finally:
         _held_band = None
+        fock._held_squeezes = None
 
 
 def _band_arrays(size: int, eta: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], bool]:
@@ -176,8 +182,8 @@ def apply_binomial_loss(vec: np.ndarray, eta: float) -> np.ndarray:
     column by column, so a stacked (P, dP) pair pays for one map.  Column m
     keeps only the band |n - eta m| <= 14 sigma_m + 40, O(N sigma) pmf
     evaluations in all; the dropped entries weigh < 1e-25 of each column.
-    The band is built, used and freed, except inside a sweep
-    (`_reused_band`), which keeps the last one and thins every later call at
+    The band is built, used and freed, except inside a scan
+    (`_scan_scope`), which keeps the last one and thins every later call at
     the same eta and no larger size with its leading block: the same numbers
     bit for bit, without rebuilding.
     """

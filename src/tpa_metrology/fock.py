@@ -9,9 +9,12 @@ exponentials of their truncated generators, each a diagonal phase similarity
 of a real symmetric tridiagonal matrix, applied through that matrix's
 eigendecomposition: MRRR for the squeeze; for the displacement, whose matrix
 is the Hermite Jacobi matrix, Gauss-Hermite nodes and oscillator functions,
-evaluated at the non-negative nodes only.  The oscillator functions psi_n(x)
-come from one blocked recurrence, `_hermite_blocks`, which the quadrature
-densities in `distributions` stream as well.
+evaluated at the non-negative nodes only.  Within a scan
+(`channels._scan_scope`) each squeeze eigendecomposition is computed once
+per parity and size and held, read-only, until the scan ends.  The
+oscillator functions psi_n(x) come from one blocked recurrence,
+`_hermite_blocks`, which the quadrature densities in `distributions` stream
+as well.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ _HERMITE_ROWS = 64  # rows per block of the Hermite recurrence
 # per bin), which would otherwise read as growth towards the cutoff.
 _TAIL_FLOOR = 1e-20
 _HERMITE_NODES: dict[int, np.ndarray] = {}  # refined Gauss-Hermite nodes per dimension
+# Inside a `channels._scan_scope`: the squeeze eigendecompositions (lam, vec)
+# of K_p computed so far, keyed by (parity, size); None outside a scope.
+_held_squeezes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def cutoff_cap() -> int:
@@ -236,19 +242,30 @@ def apply_squeeze(state: StateVector, r: float, phi_r: float = 0.0) -> StateVect
     On the Fock states n = 2k + p of parity p the truncated generator is
     D (i r K_p) D* with D = diag((-i e^{i phi_r})^k) and K_p real tridiagonal
     with off-diagonal sqrt((2k+p+1)(2k+p+2))/2; a parity the input leaves
-    empty stays empty, so a vacuum seed needs only the even half.
+    empty stays empty, so a vacuum seed needs only the even half.  K_p
+    depends on (p, size) alone, not on zeta: inside a scan
+    (`channels._scan_scope`) its read-only eigendecomposition is computed
+    once and reused by every later squeeze of that parity and size.
     """
     if r == 0.0:
         return StateVector(state.amp.copy())
     d = -1j * cmath.exp(1j * phi_r)
     out = np.zeros(state.dim, dtype=complex)
+    held = _held_squeezes
     for p in (0, 1):
         x = state.amp[p::2]
         if not x.any():
             continue
-        n = np.arange(p, state.dim - 2, 2, dtype=float)
-        off = 0.5 * np.sqrt((n + 1.0) * (n + 2.0))
-        out[p::2] = _phased_exp(*eigh_tridiagonal(np.zeros(x.size), off, lapack_driver="stemr"), r, d, x)
+        eig = None if held is None else held.get((p, x.size))
+        if eig is None:
+            n = np.arange(p, state.dim - 2, 2, dtype=float)
+            off = 0.5 * np.sqrt((n + 1.0) * (n + 2.0))
+            eig = eigh_tridiagonal(np.zeros(x.size), off, lapack_driver="stemr")
+            for a in eig:
+                a.flags.writeable = False
+            if held is not None:
+                held[p, x.size] = eig
+        out[p::2] = _phased_exp(*eig, r, d, x)
     return StateVector(out)
 
 

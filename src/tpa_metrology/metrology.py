@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LossSpec, _reused_band, apply_binomial_loss, population_derivative
+from .channels import LossSpec, _scan_scope, apply_binomial_loss, population_derivative
 from .distributions import (
     Pmf,
     QuadPdf,
@@ -308,7 +308,7 @@ def squeeze_scan(
     if n_r_values is None:
         n_r_values = default_squeeze_grid(nbar)
     fi = np.empty(len(n_r_values))
-    with _reused_band():  # every point thins at the one eta
+    with _scan_scope():  # points share a thinning band and squeeze decompositions
         for i, n_r in enumerate(n_r_values):
             r = math.asinh(math.sqrt(n_r))
             alpha = amplitude_for_mean_n(nbar, n_r, phi)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .channels import LossSpec, _reused_band
+from .channels import LossSpec, _scan_scope
 from .fock import DEFAULT_TAIL_TOL, ProbeSpec, initial_cutoff, make_probe_state
 from .metrology import (
     OBSERVABLES,
@@ -177,7 +177,7 @@ def _sweep_point(config: SweepConfig, value: float) -> dict[str, str]:
 
 def run_sweep(config: SweepConfig) -> Path:
     """Execute the sweep and write the CSV; returns the output path."""
-    with _reused_band():  # points at one eta share a thinning band
+    with _scan_scope():  # points share thinning bands and squeeze decompositions
         rows = [_sweep_point(config, v) for v in config.axis_values]
 
     out = Path(config.output_path)

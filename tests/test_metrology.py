@@ -250,7 +250,7 @@ class TestSqueezeScan:
         grid = np.linspace(0.0, 20.0, 9)
         _, scoped = squeeze_scan(20.0, LossSpec(0.75), n_r_values=grid, tail_tol=1e-8)
         builds = len(sizes)
-        monkeypatch.setattr(metrology, "_reused_band", contextlib.nullcontext)
+        monkeypatch.setattr(metrology, "_scan_scope", contextlib.nullcontext)
         _, fresh = squeeze_scan(20.0, LossSpec(0.75), n_r_values=grid, tail_tol=1e-8)
         assert np.array_equal(scoped, fresh)
         assert len(sizes) - builds == grid.size

@@ -130,7 +130,7 @@ def test_reused_band_is_bit_identical_to_a_fresh_one(eta):
     # the held band's leading block thins a smaller vector, a larger one rebuilds
     vecs = _pairs([2001, 251, 1005, 2001, 64, 3])
     fresh = [apply_binomial_loss(v, eta) for v in vecs]
-    with channels._reused_band():
+    with channels._scan_scope():
         reused = [apply_binomial_loss(v, eta) for v in vecs]
     assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
 
@@ -140,22 +140,22 @@ def test_reused_band_follows_eta_changes():
              (700, 0.3), (64, 0.3)]
     vecs = _pairs([size for size, _ in calls], seed=1)
     fresh = [apply_binomial_loss(v, eta) for v, (_, eta) in zip(vecs, calls)]
-    with channels._reused_band():
+    with channels._scan_scope():
         reused = [apply_binomial_loss(v, eta) for v, (_, eta) in zip(vecs, calls)]
     assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
 
 
 def test_no_band_is_held_outside_the_scope():
     v = np.ones((300, 2))
-    with channels._reused_band():
+    with channels._scan_scope():
         apply_binomial_loss(v, 0.5)
         assert channels._held_band["size"] == 300
-        with channels._reused_band():  # a nested scope leaves the band to the outer one
+        with channels._scan_scope():  # a nested scope leaves the band to the outer one
             apply_binomial_loss(v, 0.5)
         assert channels._held_band["size"] == 300
     assert channels._held_band is None
     with pytest.raises(RuntimeError):
-        with channels._reused_band():
+        with channels._scan_scope():
             apply_binomial_loss(v, 0.5)
             raise RuntimeError("a sweep point failed")
     assert channels._held_band is None
