@@ -121,20 +121,20 @@ def _scan_scope():
     apply_binomial_loss keeps one band: a call at the held eta and at most
     the held size thins with the band's leading block; any other call drops
     the held band before it builds and keeps its own.  fock.apply_squeeze
-    keeps every eigendecomposition it computes, one per (parity, size).
-    Both are released when the (outermost) scope exits, also on an error.
+    keeps its decompositions while probes repeat one <n>
+    (`fock._holding_squeezes`).  Both are released when the (outermost) scope
+    exits, also on an error.
     """
     global _held_band
     if _held_band is not None:  # nested: the outer scope owns what is held
         yield
         return
     _held_band = {}
-    fock._held_squeezes = {}
     try:
-        yield
+        with fock._holding_squeezes():
+            yield
     finally:
         _held_band = None
-        fock._held_squeezes = None
 
 
 def _band_arrays(size: int, eta: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], bool]:

@@ -10,11 +10,12 @@ of a real symmetric tridiagonal matrix, applied through that matrix's
 eigendecomposition: MRRR for the squeeze; for the displacement, whose matrix
 is the Hermite Jacobi matrix, Gauss-Hermite nodes and oscillator functions,
 evaluated at the non-negative nodes only.  Within a scan
-(`channels._scan_scope`) each squeeze eigendecomposition is computed once
-per parity and size and held, read-only, until the scan ends.  The
-oscillator functions psi_n(x) come from one blocked recurrence,
-`_hermite_blocks`, which the quadrature densities in `distributions` stream
-as well.
+(`channels._scan_scope`, through `_holding_squeezes`) each squeeze
+eigendecomposition is computed once per parity and size while probes repeat
+one mean photon number, and held, read-only, until a probe of another mean
+photon number is built or the scan ends.  The oscillator functions psi_n(x)
+come from one blocked recurrence, `_hermite_blocks`, which the quadrature
+densities in `distributions` stream as well.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import cmath
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +45,9 @@ _HERMITE_ROWS = 64  # rows per block of the Hermite recurrence
 # per bin), which would otherwise read as growth towards the cutoff.
 _TAIL_FLOOR = 1e-20
 _HERMITE_NODES: dict[int, np.ndarray] = {}  # refined Gauss-Hermite nodes per dimension
-# Inside a `channels._scan_scope`: the squeeze eigendecompositions (lam, vec)
-# of K_p computed so far, keyed by (parity, size); None outside a scope.
-_held_squeezes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None = None
+# Inside `_holding_squeezes`: {"nbar": <n> of the last probe, "eigs": the
+# held {(parity, size): (lam, vec)} of K_p, or None}; None outside.
+_held_squeezes: dict | None = None
 
 
 def cutoff_cap() -> int:
@@ -169,6 +171,25 @@ def ladder_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
+@contextmanager
+def _holding_squeezes():
+    """Within the scope, probes that repeat one <n> reuse their squeeze decompositions.
+
+    The cutoff ladder depends on <n> alone, so probes of one <n> squeeze at
+    the same sizes.  From the second make_probe_state in a row of one <n> (up
+    to roundoff) on, each (parity, size) eigendecomposition is computed once
+    and held; a probe of another <n> drops what is held and holds nothing.
+    Roundoff in <n> can move the ladder's start by one, so at most two ladders
+    are held.  All is released on exit, also on an error.
+    """
+    global _held_squeezes
+    _held_squeezes = {"nbar": math.nan, "eigs": None}
+    try:
+        yield
+    finally:
+        _held_squeezes = None
+
+
 def _phased_exp(lam: np.ndarray, vec: np.ndarray, s: float, d: complex, x: np.ndarray) -> np.ndarray:
     """D exp(i s T) D* x for D = diag(d^k), |d| = 1, and T = V diag(lam) V^T real symmetric.
 
@@ -243,15 +264,15 @@ def apply_squeeze(state: StateVector, r: float, phi_r: float = 0.0) -> StateVect
     D (i r K_p) D* with D = diag((-i e^{i phi_r})^k) and K_p real tridiagonal
     with off-diagonal sqrt((2k+p+1)(2k+p+2))/2; a parity the input leaves
     empty stays empty, so a vacuum seed needs only the even half.  K_p
-    depends on (p, size) alone, not on zeta: inside a scan
-    (`channels._scan_scope`) its read-only eigendecomposition is computed
+    depends on (p, size) alone, not on zeta: inside `_holding_squeezes`,
+    while probes repeat one <n>, its read-only eigendecomposition is computed
     once and reused by every later squeeze of that parity and size.
     """
     if r == 0.0:
         return StateVector(state.amp.copy())
     d = -1j * cmath.exp(1j * phi_r)
     out = np.zeros(state.dim, dtype=complex)
-    held = _held_squeezes
+    held = None if _held_squeezes is None else _held_squeezes["eigs"]
     for p in (0, 1):
         x = state.amp[p::2]
         if not x.any():
@@ -377,6 +398,12 @@ def make_probe_state(
         return StateVector(_build_probe(spec, n_max))
     if n_max < 2:
         raise TruncationError("non-vacuum probes need n_max >= 2")
+    held = _held_squeezes
+    if held is not None:  # only probes that repeat one <n> repeat squeeze sizes
+        if not math.isclose(spec.mean_photon_number(), held["nbar"], rel_tol=1e-12):
+            held.update(nbar=spec.mean_photon_number(), eigs=None)
+        elif held["eigs"] is None:
+            held["eigs"] = {}
     first_guess = n_max
     while True:
         amp = _build_probe(spec, n_max)

@@ -1,4 +1,4 @@
-"""The scan scope: squeeze eigendecompositions computed once per (parity, size), bit for bit, and released."""
+"""The scan scope: squeeze eigendecompositions of one <n> computed once per (parity, size), bit for bit, and released."""
 
 import contextlib
 import math
@@ -9,7 +9,7 @@ import pytest
 from tpa_metrology import channels, fock, sweeps
 from tpa_metrology.channels import LossSpec
 from tpa_metrology.cli import main
-from tpa_metrology.fock import ProbeSpec, StateVector, apply_squeeze, make_probe_state
+from tpa_metrology.fock import ProbeSpec, make_probe_state
 from tpa_metrology.metrology import squeeze_scan
 
 pytestmark = pytest.mark.filterwarnings("ignore::tpa_metrology.exceptions.IllConditionedBinWarning")
@@ -38,14 +38,35 @@ def _scan(tmp_path, command, *flags):
 
 def test_squeeze_scan_decomposes_each_size_once(eigh_calls, tmp_path, capsys):
     # 101 squeezes over the scan's doubling attempts, at dims 251, 252, 501,
-    # 503, 1001, 1005 and 2001; a vacuum seed fills only the even half
+    # 503, 1001, 1005 and 2001; a vacuum seed fills only the even half.  Every
+    # point has <n> = 50 up to roundoff, which starts the cutoff at 250 or 251,
+    # and the first (n_r = 0) squeezes nothing, so the ladders are held from
+    # the first squeeze on.
     _scan(tmp_path, "squeeze-scan", "--nbar", "50", "--eta", "0.75", "--points", "33")
     assert sorted(eigh_calls) == [(0, 126), (0, 251), (0, 252), (0, 501), (0, 503), (0, 1001)]
 
 
 def test_phase_scan_decomposes_each_size_once(eigh_calls, tmp_path, capsys):
     _scan(tmp_path, "phase-scan", "--nbar", "40", "--r", "1.2", "--eta", "0.5", "--points", "25")
-    assert sorted(eigh_calls) == [(0, 106), (0, 211), (0, 212)]  # of 49 squeezes
+    # of 49 squeezes: the first point holds nothing, as no earlier probe had its
+    # <n>, so the second decomposes that ladder again and holds it
+    assert sorted(eigh_calls) == [(0, 106), (0, 106), (0, 211), (0, 211), (0, 212)]
+
+
+def test_an_nbar_sweep_holds_nothing(eigh_calls, tmp_path):
+    # every point has its own <n>, so its own cutoff ladder: no two points
+    # squeeze at the same sizes, and holding would only add memory
+    values = (10.0, 25.0, 50.0, 75.0)
+    config = sweeps.SweepConfig("squeezed_coherent", "photon_number", "nbar", values,
+                                {"n_r": 4.0, "eta": 0.9}, str(tmp_path / "nbar.csv"))
+    with channels._scan_scope():  # run_sweep's scope nests in this one, so its holder stays visible
+        sweeps.run_sweep(config)
+        assert fock._held_squeezes["nbar"] == pytest.approx(values[-1]) and fock._held_squeezes["eigs"] is None
+        swept = list(eigh_calls)
+        spec = sweeps.resolve_point("squeezed_coherent", {"n_r": 4.0, "nbar": values[-1]})[0]
+        make_probe_state(spec)  # the same <n> again: its ladder is held from now on
+        assert fock._held_squeezes["eigs"]
+    assert len(set(swept)) == len(swept)  # each size was decomposed by one point only
 
 
 def test_nothing_is_held_across_scans(eigh_calls):
@@ -58,14 +79,16 @@ def test_nothing_is_held_across_scans(eigh_calls):
 
 
 def test_held_decompositions_are_read_only():
-    x = np.random.default_rng(0).standard_normal(40) + 0j  # both parities occupied
+    spec = ProbeSpec(r=0.7, phi_r=0.3, alpha_abs=1.5, phi=0.2)
     with channels._scan_scope():
-        apply_squeeze(StateVector(x), 0.7, 0.3)
-        held = dict(fock._held_squeezes)
+        make_probe_state(spec)
+        assert fock._held_squeezes["eigs"] is None  # no earlier probe had this <n>
+        make_probe_state(spec)
+        held = fock._held_squeezes["eigs"]
         with channels._scan_scope():  # a nested scope holds nothing of its own
-            apply_squeeze(StateVector(np.ones(30, dtype=complex)), 0.7)
-        assert set(fock._held_squeezes) == {(0, 20), (1, 20), (0, 15), (1, 15)}
-    assert set(held) == {(0, 20), (1, 20)}
+            make_probe_state(spec)
+        assert fock._held_squeezes["eigs"] is held
+    assert held and {p for p, _ in held} == {0}  # a probe squeezes the vacuum: even half only
     for lam, vec in held.values():
         assert not lam.flags.writeable and not vec.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -92,10 +115,9 @@ def test_probe_amplitudes_are_bit_identical_in_and_out_of_scope(eigh_calls):
     outside = make_probe_state(spec).amp
     builds = len(eigh_calls)
     with channels._scan_scope():
-        first = make_probe_state(spec).amp
-        second = make_probe_state(spec).amp
-    assert len(eigh_calls) == 2 * builds  # the second build in scope reuses the first's
-    assert np.array_equal(first, outside) and np.array_equal(second, outside)
+        first, second, third = (make_probe_state(spec).amp for _ in range(3))
+    assert len(eigh_calls) == 3 * builds  # the second build in scope holds, the third reuses
+    assert all(np.array_equal(amp, outside) for amp in (first, second, third))
 
 
 @pytest.mark.parametrize(
